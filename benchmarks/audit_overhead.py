@@ -1,65 +1,112 @@
 """Bound the invariant auditor's overhead on the golden trace.
 
-CI runs this as a standalone script (not part of the tier-1 suite —
-wall-clock assertions are too noisy for a gating test run on developer
-machines).  It simulates the golden spec06-00 trace with PMP, audit off
-and audit on, best-of-N each, and fails when the audited run costs more
-than the budgeted fraction extra.  The no-audit runs double as a check
-that merely shipping the audit subsystem did not slow the default path:
-no auditor is constructed and no bus handler is subscribed unless a run
-opts in.
+CI runs this as a standalone script (not part of the tier-1 suite).  It
+simulates the golden spec06-00 trace with PMP, audit off and audit on,
+and fails when the audited run costs more than the budgeted fraction
+extra.  The no-audit runs double as a check that merely shipping the
+audit subsystem did not slow the default path: no auditor is constructed
+and no bus handler is subscribed unless a run opts in.
+
+The measurement is built to hold still on a shared machine:
+
+* CPU time (``time.process_time``), not wall time, so time spent
+  descheduled does not count against either side;
+* every repeat runs whole simulations until it has used at least
+  ``--min-seconds`` of CPU, and reports CPU time per simulation;
+* audited and unaudited repeats run as interleaved pairs, alternating
+  which side goes first, so a slow phase of the host hits both sides;
+* the verdict is the median of the per-pair ratios.
+
+``--self-compare`` times unaudited code against itself with the same
+procedure; it must pass, which shows the gate does not fail on noise.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/audit_overhead.py [--budget 0.20]
+    PYTHONPATH=src python benchmarks/audit_overhead.py --self-compare
 """
 
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 
 
-def best_of(runs: int, simulate, trace, factory, **kwargs) -> float:
-    best = float("inf")
-    for _ in range(runs):
-        start = time.perf_counter()
-        simulate(trace, factory(), **kwargs)
-        best = min(best, time.perf_counter() - start)
-    return best
+def cpu_per_call(fn, min_seconds: float) -> float:
+    """CPU seconds per ``fn()`` call, over at least ``min_seconds``."""
+    calls = 0
+    start = time.process_time()
+    while True:
+        fn()
+        calls += 1
+        elapsed = time.process_time() - start
+        if elapsed >= min_seconds:
+            return elapsed / calls
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    # The budget is *relative* to the unaudited kernel, so kernel
-    # speedups tighten it without the auditor changing at all: the
-    # fast-path/MSHR work shrank the denominator to the point where the
-    # auditor's unchanged ~25-30ms absolute cost on this workload sits
-    # around 15%.  20% keeps honest headroom on noisy shared runners
-    # while still catching what this gate exists for — an accidentally
-    # super-linear audit pass.
-    parser.add_argument("--budget", type=float, default=0.20,
-                        help="max audited overhead as a fraction (0.20 = 20%%)")
-    parser.add_argument("--accesses", type=int, default=4000,
-                        help="golden-trace length (matches the fixture)")
-    parser.add_argument("--runs", type=int, default=5,
-                        help="repetitions per configuration (best-of)")
-    args = parser.parse_args(argv)
+def paired_ratios(base, test, pairs: int, min_seconds: float) -> list[float]:
+    """``test / base`` CPU-time ratio of each interleaved pair."""
+    ratios = []
+    for i in range(pairs):
+        if i % 2:
+            t = cpu_per_call(test, min_seconds)
+            b = cpu_per_call(base, min_seconds)
+        else:
+            b = cpu_per_call(base, min_seconds)
+            t = cpu_per_call(test, min_seconds)
+        ratios.append(t / b)
+    return ratios
 
+
+def measure(accesses: int, pairs: int, min_seconds: float,
+            self_compare: bool = False) -> tuple[float, list[float]]:
+    """Median overhead of auditing (or of nothing, ``self_compare``) and
+    the per-pair ratios."""
     from repro.memtrace.workloads import full_suite
     from repro.prefetchers.pmp import PMP
     from repro.sim.engine import simulate
 
     spec = next(s for s in full_suite() if s.name == "spec06-00")
-    trace = spec.build(args.accesses)
+    trace = spec.build(accesses)
 
-    best_of(1, simulate, trace, PMP, check_invariants=False)  # warm caches
-    off = best_of(args.runs, simulate, trace, PMP, check_invariants=False)
-    on = best_of(args.runs, simulate, trace, PMP, check_invariants=True)
-    overhead = on / off - 1
-    print(f"no-audit: {off * 1000:.1f}ms  audited: {on * 1000:.1f}ms  "
-          f"overhead: {overhead:+.1%} (budget {args.budget:.0%})")
+    def plain():
+        simulate(trace, PMP(), check_invariants=False)
+
+    def audited():
+        simulate(trace, PMP(), check_invariants=True)
+
+    plain()  # warm caches
+    ratios = paired_ratios(plain, plain if self_compare else audited,
+                           pairs, min_seconds)
+    return statistics.median(ratios) - 1, ratios
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    # The budget is *relative* to the unaudited kernel, so kernel
+    # speedups tighten it without the auditor changing at all.  20%
+    # keeps honest headroom while still catching what this gate exists
+    # for — an accidentally super-linear audit pass.
+    parser.add_argument("--budget", type=float, default=0.20,
+                        help="max audited overhead as a fraction (0.20 = 20%%)")
+    parser.add_argument("--accesses", type=int, default=4000,
+                        help="golden-trace length (matches the fixture)")
+    parser.add_argument("--runs", type=int, default=7,
+                        help="interleaved audited/unaudited pairs")
+    parser.add_argument("--min-seconds", type=float, default=0.3,
+                        help="CPU seconds each side of a pair runs for")
+    parser.add_argument("--self-compare", action="store_true",
+                        help="time unaudited code against itself")
+    args = parser.parse_args(argv)
+
+    overhead, ratios = measure(args.accesses, args.runs, args.min_seconds,
+                               self_compare=args.self_compare)
+    what = "self-compare" if args.self_compare else "audited"
+    print(f"{what}: median overhead {overhead:+.1%} over {len(ratios)} "
+          f"pairs (budget {args.budget:.0%}); ratios "
+          + " ".join(f"{r:.3f}" for r in ratios))
     if overhead > args.budget:
         print("FAIL: invariant auditor exceeds its overhead budget",
               file=sys.stderr)

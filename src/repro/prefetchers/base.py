@@ -30,7 +30,13 @@ class FillLevel(enum.IntEnum):
 
     def downgraded(self) -> "FillLevel":
         """One level further from the core (arbitration rule 3)."""
-        return FillLevel(min(FillLevel.LLC, self + 1))
+        return _DOWNGRADED[self]
+
+
+#: ``FillLevel.downgraded`` as a table: PMP's arbitration asks per
+#: prediction, and building the enum member per call was measurable.
+_DOWNGRADED = {FillLevel.L1D: FillLevel.L2C, FillLevel.L2C: FillLevel.LLC,
+               FillLevel.LLC: FillLevel.LLC}
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,18 +3,18 @@ queues and *deferred fills*.
 
 A miss (demand or prefetch) does not insert its line immediately: the fill
 is scheduled on a pending :class:`FillQueue` and applied — evicting its
-victim — only when the data actually arrives (``ready_cycle``).  Demands
+victim — only when the data actually arrives (its ready cycle).  Demands
 that touch the line while the fill is in flight merge with it through the
 MSHR rather than re-requesting memory.  Applying fills lazily keeps
 eviction timing honest: a prefetch issued 200 cycles early must not
 shrink the cache for those 200 cycles.
 
-This module is pure mechanics.  A :class:`Cache` mutates arrays, reports
-what happened (hit/miss, victim chosen, prefetched bit consumed) and owns
-a passive :class:`CacheStats` counter block — but it never *accounts*:
-all counter updates and prefetcher feedback flow through typed events
-published by the owning :class:`~repro.sim.level.CacheLevel` component
-and applied by bus subscribers (see :mod:`repro.sim.observers`).
+This module is storage.  A :class:`Cache` holds the set arrays, MSHRs,
+prefetch queue and fill queue, plus a :class:`CacheStats` counter block.
+The per-access kernel (:mod:`repro.sim.level`, :mod:`repro.sim.hierarchy`)
+reads and writes these structures directly and counts every event at the
+site where it happens; the methods here are the same operations for
+set-up code, the fast-path scanner, the auditor and tests.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .params import CacheParams
 class CacheLine:
     """State of one resident cacheline."""
 
-    ready_cycle: float = 0.0
     prefetched: bool = False
     dirty: bool = False
 
@@ -84,15 +83,6 @@ class FillQueue:
         else:
             bucket.append(fill)
 
-    def has_ready(self, cycle: float) -> bool:
-        """True when at least one fill's data has arrived by ``cycle``.
-
-        Allocation-free peek for the per-access sync fast path (most
-        syncs find nothing to apply).
-        """
-        heap = self._heap
-        return bool(heap) and heap[0][0] <= cycle
-
     def pop_ready(self, cycle: float) -> list[PendingFill]:
         """Remove and return every fill whose data has arrived by ``cycle``."""
         out: list[PendingFill] = []
@@ -139,8 +129,7 @@ class CacheStats:
     """Per-level counters for the Fig 9 / Fig 10 metrics.
 
     Owned by the storage (so shared-LLC counters are naturally shared
-    across cores) but mutated only by the stats observer subscribed to
-    the hierarchy's event bus.
+    across cores) and written by the kernel at the site of each event.
     """
 
     demand_accesses: int = 0
@@ -206,24 +195,13 @@ class Cache:
 
     # ------------------------------------------------------------- residency
 
-    def _set_for(self, line: int) -> dict[int, CacheLine]:
-        return self._sets[line % self.num_sets]
-
     def contains(self, line: int) -> bool:
         """Presence check with no LRU side effects."""
-        return line in self._set_for(line)
-
-    def resident_or_pending(self, line: int) -> bool:
-        """True when the line is resident or its miss is outstanding.
-
-        One call instead of ``contains`` + ``mshr_pending`` — this is
-        the prefetch admission check, run per level per candidate.
-        """
-        return line in self._sets[line % self.num_sets] or line in self._mshr
+        return line in self._sets[line % self.num_sets]
 
     def probe(self, line: int) -> CacheLine | None:
         """Peek at a resident line without touching LRU."""
-        return self._set_for(line).get(line)
+        return self._sets[line % self.num_sets].get(line)
 
     def access(self, line: int, cycle: float,
                is_write: bool = False) -> tuple[bool, bool]:
@@ -255,8 +233,7 @@ class Cache:
         Returns ``(inserted, victim, victim_entry)``.  A refill of a
         resident line only refreshes recency (and never re-marks a
         demand-fetched line as a prefetch): ``inserted`` is False and no
-        victim is chosen.  A plain tuple, not a result object — this is
-        the hottest allocation site in a miss-heavy run.
+        victim is chosen.
         """
         cache_set = self._sets[line % self.num_sets]
         existing = cache_set.pop(line, None)
@@ -268,31 +245,14 @@ class Cache:
         if len(cache_set) >= self.ways:
             victim = next(iter(cache_set))
             victim_entry = cache_set.pop(victim)
-        cache_set[line] = CacheLine(ready_cycle=cycle,
-                                    prefetched=prefetched, dirty=is_write)
+        cache_set[line] = CacheLine(prefetched, is_write)
         self.version += 1
         return True, victim, victim_entry
 
     def schedule_fill(self, line: int, ready: float, *, prefetched: bool = False,
                       is_write: bool = False) -> None:
-        """Queue a fill to be applied when its data arrives.
-
-        Inlines :meth:`FillQueue.push` (same invariants, same module):
-        every miss schedules one fill per level, making this one of the
-        hottest calls in a miss-heavy run.
-        """
-        fill = PendingFill(ready=ready, line=line, prefetched=prefetched,
-                           is_write=is_write)
-        fills = self.fills
-        seq = fills._seq
-        fills._seq = seq + 1
-        heapq.heappush(fills._heap, (ready, seq, fill))
-        by_line = fills._by_line
-        bucket = by_line.get(line)
-        if bucket is None:
-            by_line[line] = [fill]
-        else:
-            bucket.append(fill)
+        """Queue a fill to be applied when its data arrives."""
+        self.fills.push(PendingFill(ready, line, prefetched, is_write))
 
     def pop_ready_fills(self, cycle: float) -> list[PendingFill]:
         """Remove and return every pending fill whose data has arrived."""
@@ -301,7 +261,7 @@ class Cache:
     def invalidate(self, line: int) -> CacheLine | None:
         """Remove a line (inclusive back-invalidation).  Returns the
         evicted entry when it was present, else None."""
-        entry = self._set_for(line).pop(line, None)
+        entry = self._sets[line % self.num_sets].pop(line, None)
         if entry is not None:
             self.version += 1
         return entry
@@ -395,22 +355,27 @@ class Cache:
                 del mshr[line]
         self._mshr_min = heap[0][0] if heap else float("inf")
 
-    def mshr_release_completed(self, up_to: float) -> None:
-        """Drop every entry completed at or before `up_to`."""
-        self.mshr_prune(up_to)
-
     def mshr_earliest(self) -> float:
-        """Completion cycle of the oldest outstanding miss."""
+        """Completion cycle of the oldest outstanding miss.
+
+        Every live entry has a heap entry, so the walk always finds one.
+        Running out means the MSHR is empty (a caller bug) or the heap
+        lost an entry (a kernel bug); either way it raises.
+        """
         heap = self._mshr_heap
         mshr = self._mshr
-        pop = heapq.heappop
+        stale = 0
         while heap:
             when, line = heap[0]
             entry = mshr.get(line)
             if entry is not None and entry[0] == when:
                 return when
-            pop(heap)  # stale: released or re-allocated since pushed
-        return min(when for when, _ in mshr.values())
+            heapq.heappop(heap)  # stale: released or re-allocated since
+            stale += 1
+        raise RuntimeError(
+            f"{self.name}: no outstanding miss to wait for — MSHR holds "
+            f"{len(mshr)}/{self._mshr_capacity} entries, heap empty after "
+            f"dropping {stale} stale entries, prune bound {self._mshr_min}")
 
     def mshr_free(self, cycle: float) -> int:
         """Free MSHR slots at `cycle` (prunes completed entries)."""
@@ -424,14 +389,8 @@ class Cache:
 
     # ------------------------------------------------------------------- PQs
 
-    def pq_prune(self, cycle: float) -> None:
-        """Drop PQ entries whose issue window has passed."""
-        pq = self._pq
-        while pq and pq[0] <= cycle:
-            heapq.heappop(pq)
-
     def pq_free(self, cycle: float) -> int:
-        """Free prefetch-queue slots at `cycle` (inlines :meth:`pq_prune`)."""
+        """Free prefetch-queue slots at `cycle` (drops expired entries)."""
         pq = self._pq
         while pq and pq[0] <= cycle:
             heapq.heappop(pq)

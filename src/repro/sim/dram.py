@@ -95,7 +95,8 @@ class Dram:
 
     def request(self, line: int, cycle: float, *, is_prefetch: bool = False) -> float:
         """Issue a line fetch; returns its completion cycle."""
-        channel = self._channel_for(line)
+        channels = self._channels
+        channel = channels[line % len(channels)]
         service = self.service_cycles
         if is_prefetch:
             start = max(cycle, channel.next_free)

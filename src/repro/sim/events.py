@@ -1,28 +1,27 @@
 """Typed memory-system events and the synchronous observer bus.
 
-Every side-channel notification in the hierarchy — prefetch
-useful/useless/fill resolutions, evictions, inclusive back-invalidations,
-dirty-victim writebacks, prefetch admission drops — is published as a
-typed event on an :class:`EventBus` instead of being hard-wired into the
-timing code.  Subscribers (the per-level stats collector, the prefetcher
-feedback bridge, the opt-in :class:`~repro.sim.observers.EventTrace`)
-attach per event *type*; publishing to a type nobody listens to costs one
-dict probe, so observers only pay when subscribed.
+Every side-channel notification in the hierarchy — demand lookups,
+prefetch useful/useless/fill resolutions, evictions, inclusive
+back-invalidations, dirty-victim writebacks, prefetch issues and
+admission drops — has a typed event here.  The kernel does not need the
+events to run: it writes its counters and calls the prefetcher's
+feedback hooks at the site of each event.  It builds and dispatches an
+event only when the :class:`EventBus` has a subscriber for its type,
+i.e. when an opt-in observer is attached (the
+:class:`~repro.sim.observers.EventTrace`, the invariant auditor, a
+test).  An unobserved run pays one truth test per event site.
 
 The bus is deliberately synchronous and unbuffered: handlers run inline,
-in subscription order, before the publishing timing code proceeds.  That
-keeps simulation results bit-identical to the pre-bus hierarchy — the
-same counter increments and prefetcher callbacks happen at the same
-points of the descent — while decoupling who *consumes* a notification
-from the component that raised it.
+in subscription order, right after the kernel has written the counters
+for the event and called the prefetcher, and before the publishing
+timing code proceeds.  Subscribers therefore see the same stream, in the
+same order, as when the counters themselves were bus subscribers.
 
 **Events are transient.**  Hot publishers (the per-level components)
 reuse one event instance per type per component and rewrite its fields
 in place, so a handler that must keep information past its own return
 has to copy the fields out — retaining the event object itself observes
-whatever the *next* publication wrote.  This is what makes a
-per-lookup event affordable: the observer layer costs attribute writes
-plus handler calls, with no allocation on the access path.
+whatever the *next* publication wrote.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ class Eviction:
 class BackInvalidation:
     """An inclusive LLC eviction removed a private cache's copy.
 
-    Carries the private cache's name and its counter block so the stats
+    Carries the private cache's name and its counter block so an
     observer can attribute the loss even when the invalidated cache
     belongs to *another core's* hierarchy (shared-LLC multicore runs).
     ``dirty`` marks a modified private copy — the evicting level must
@@ -163,11 +162,12 @@ class HitRunRetired:
     trace order); ``cycle`` is the last access's issue cycle.
 
     Deliberately NOT in :data:`EVENT_TYPES`: it is a *reconciliation
-    summary*, not a kernel event.  Subscribers that account per-access
-    state (stats observer, event trace, invariant auditor) expand it into
-    exactly the ``count`` :class:`CacheAccess` increments the slow path
-    would have published, so listing it alongside ``CacheAccess`` in the
-    generic catalogue would double-count the block.
+    summary*, not a kernel event.  The fast path has already counted the
+    ``count`` L1D hits itself; subscribers that account per-access state
+    (event trace, invariant auditor) expand it into exactly the ``count``
+    :class:`CacheAccess` records the slow path would have published, so
+    listing it alongside ``CacheAccess`` in the generic catalogue would
+    double-count the block.
     """
 
     level: FillLevel
@@ -201,11 +201,11 @@ class EventBus:
     def handlers(self, event_type: type) -> list[Callable]:
         """The live handler list for one event type.
 
-        Hot publishers hold this list directly and dispatch inline
-        (``for h in handlers: h(event)``) instead of paying a
-        :meth:`publish` call per event; later ``subscribe`` /
-        unsubscribe calls mutate the same list in place, so the
-        reference never goes stale.
+        Hot publishers hold this list directly, test it for emptiness
+        and dispatch inline (``for h in handlers: h(event)``) only when
+        it has subscribers; later ``subscribe`` / unsubscribe calls
+        mutate the same list in place, so the reference never goes
+        stale.
         """
         return self._subscribers.setdefault(event_type, [])
 

@@ -50,10 +50,12 @@ Bit-exactness is by construction, not accident:
   by exchange argument); dirty bits are set for written lines; the
   in-flight deque drops its popped prefix and appends the still-pending
   loads with ``.tolist()``-exact floats.
-* **Reconciliation** — one ``HitRunRetired`` event carries the count and
-  the per-access cycle/line arrays; the stats observer, event tracer and
-  invariant auditor expand it into exactly the increments, log rows and
-  shadow updates ``count`` slow-path accesses would have produced.
+* **Reconciliation** — the L1D counters take the ``count`` demand hits
+  in one step; when an opt-in observer is attached, one
+  ``HitRunRetired`` event carries the count and the per-access
+  cycle/line arrays, which the event tracer and invariant auditor expand
+  into exactly the log rows and shadow updates ``count`` slow-path
+  accesses would have produced.
 
 Overhead control for miss-heavy phases: each failed attempt costs a few
 dict probes and heap peeks, gated by an exponential cooldown (skip 1, 2,
@@ -107,18 +109,19 @@ class FastPath:
         self.hierarchy = hierarchy
         l1 = hierarchy.l1d
         self._l1 = l1
+        self._l1_stats = l1.stats
         self._l1_sets = l1._sets
         self._num_sets = l1.num_sets
         self._hit_latency = float(hierarchy.levels[0].hit_latency)
         # Live fill heaps (never reassigned — same contract _sync_pairs
         # relies on): the earliest ready across them bounds every run.
-        self._heaps = [level.storage.fills._heap for level in hierarchy.levels]
+        self._heaps = [level.fills._heap for level in hierarchy.levels]
         self._lq = core.params.lq_entries
         self._rob = core.params.rob_entries
         self._consume_block = (None if prefetcher.hit_run_transparent
                                else prefetcher.hit_run_consume_block)
         self._ev = HitRunRetired(FillLevel.L1D, 0, None, None, 0.0)
-        self._handlers = hierarchy.bus.handlers(HitRunRetired)
+        self._subs = hierarchy.bus.handlers(HitRunRetired)
         # Sorted snapshot of hit-eligible L1 lines (resident, prefetched
         # bit clear), keyed by the storage's residency version counter.
         self._snap: np.ndarray | None = None
@@ -311,13 +314,20 @@ class FastPath:
 
         last_cycle = float(t[run - 1])
         self.hierarchy.set_view_cycle(last_cycle)
+        self._retire(run, t, lines, last_cycle)
 
-        # Reconcile every observer in one publication (stats observer,
-        # event tracer and invariant auditor expand it per access).
-        ev = self._ev
-        ev.count = run
-        ev.cycles = t[:run]
-        ev.lines = lines
-        ev.cycle = last_cycle
-        for handler in self._handlers:
-            handler(ev)
+    def _retire(self, run: int, t: np.ndarray, lines: np.ndarray,
+                last_cycle: float) -> None:
+        """Count the run's L1D hits, then reconcile any subscribers (the
+        event tracer and invariant auditor expand it per access)."""
+        stats = self._l1_stats
+        stats.demand_accesses += run
+        stats.demand_hits += run
+        if self._subs:
+            ev = self._ev
+            ev.count = run
+            ev.cycles = t[:run]
+            ev.lines = lines
+            ev.cycle = last_cycle
+            for handler in self._subs:
+                handler(ev)

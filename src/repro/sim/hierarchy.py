@@ -1,11 +1,12 @@
-"""Event-driven memory-system kernel: ported cache levels, one descent loop.
+"""The memory kernel: ported cache levels and one flat descent.
 
 The hierarchy is a chain of :class:`~repro.sim.level.CacheLevel`
 components (L1D → L2C → LLC, each owning its storage, MSHRs, PQ and fill
-queue) ending at the DRAM port.  Demands and prefetches are both carried
-by a :class:`~repro.sim.level.MemTransaction` that descends the chain in
-a single loop — the per-level lookup/merge/fill logic lives once, in the
-components, instead of three copy-pasted blocks.
+queue) ending at the DRAM port.  :meth:`Hierarchy.demand_access` and
+:meth:`Hierarchy.issue_prefetch` walk that chain in straight-line code,
+reading each level's sets, MSHRs and counters directly; the fill side
+(applying arrived fills, victims, back-invalidation, dirty drains) is
+the levels' own.
 
 Misses and prefetches schedule their fills for the cycle the data
 arrives; the kernel *syncs* each level (applies arrived fills, evicting
@@ -18,28 +19,26 @@ The LLC is inclusive (Table IV): evicting an LLC line back-invalidates it
 from every registered private L1D/L2C, which is also how useless shared
 prefetches propagate in the 4-core runs.
 
-All side-channel notifications — prefetch useful/useless/fill, evictions,
-back-invalidations, writebacks, admission drops — are typed events on the
-kernel's :class:`~repro.sim.events.EventBus`; stats counters, prefetcher
-feedback and the opt-in trace observer are subscribers
-(:mod:`repro.sim.observers`), not hard-wired calls.
+Counters, issued/dropped accounting and prefetcher feedback are written
+where each event happens.  The typed events of the kernel's
+:class:`~repro.sim.events.EventBus` are published only to subscribers
+(the opt-in :class:`~repro.sim.observers.EventTrace` and the invariant
+auditor), in the same order the counters are written.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from ..memtrace.access import CACHELINE_BITS
 from ..prefetchers.base import FillLevel, PrefetchRequest, Prefetcher
 from .cache import Cache, CacheLine, CacheStats
 from .dram import Dram, DramPort
 from .events import EventBus, PrefetchDropped, PrefetchIssued
-from .level import CacheLevel, MemTransaction
-from .observers import (
-    LevelStatsObserver,
-    PrefetchAccounting,
-    PrefetcherBridge,
-    snapshot_levels,
-)
+from .level import CacheLevel
 from .params import SystemConfig
+
+DROP_REASONS = ("resident", "pq_full", "mshr_full")
 
 
 class SharedLLC:
@@ -80,9 +79,10 @@ class Hierarchy:
 
     For single-core runs construct with :meth:`build`; multi-core runs
     share one :class:`SharedLLC` and one :class:`Dram` across hierarchies
-    (each core keeps its own bus, observers and private levels — LLC
-    events are published on the bus of the core whose access caused them,
-    which is also whose prefetcher hears the feedback).
+    (each core keeps its own bus, prefetcher and private levels — LLC
+    events are counted into the shared block *and* the accessing core's
+    ``llc_stats`` mirror, published on that core's bus, and fed back to
+    that core's prefetcher).
     """
 
     def __init__(self, config: SystemConfig, prefetcher: Prefetcher,
@@ -97,51 +97,47 @@ class Hierarchy:
         self.dram_port = DramPort(dram)
         self.bus = EventBus()
         self._view_cycle = 0.0
-
-        llc_level = CacheLevel(FillLevel.LLC, shared_llc.cache, self.bus,
-                               self.dram_port, below=None, shared=shared_llc)
-        l2c_level = CacheLevel(FillLevel.L2C,
-                               Cache(config.l2c, name=f"L2C{core_id}"),
-                               self.bus, self.dram_port, below=llc_level)
-        l1d_level = CacheLevel(FillLevel.L1D,
-                               Cache(config.l1d, name=f"L1D{core_id}"),
-                               self.bus, self.dram_port, below=l2c_level)
-        # Descent order: closest to the core first.
-        self.levels: tuple[CacheLevel, ...] = (l1d_level, l2c_level, llc_level)
-        # Fill-sync order: LLC first, so inclusive back-invalidations
-        # precede private-level fills (prebuilt — `_sync` runs per access).
-        self._sync_order: tuple[CacheLevel, ...] = (llc_level, l2c_level,
-                                                    l1d_level)
-        # (level, fill-heap) pairs for the per-access sync peek — the
-        # FillQueue never reassigns its heap list, so the pairs are
-        # stable for the hierarchy's lifetime.
-        self._sync_pairs: tuple[tuple[CacheLevel, list], ...] = tuple(
-            (level, level.storage.fills._heap) for level in self._sync_order)
-        self.l1d = l1d_level.storage
-        self.l2c = l2c_level.storage
-        self.llc = llc_level.storage
-        shared_llc.register(self.l1d, self.l2c)
-
-        # Pooled transient transaction and prefetch events (fields
-        # rewritten per use — same contract as the CacheLevel event pool;
-        # nothing downstream retains them past its own return).
-        self._demand_txn = MemTransaction(address=0, line=0)
-        self._ev_issued = PrefetchIssued(FillLevel.L1D, 0, 0, 0.0)
-        self._ev_dropped = PrefetchDropped(FillLevel.L1D, 0, "", 0.0)
-        self._issued_handlers = self.bus.handlers(PrefetchIssued)
-        self._dropped_handlers = self.bus.handlers(PrefetchDropped)
-
         # This core's view of the shared LLC counters: LLC events from
         # *this* hierarchy's accesses increment both the shared storage
         # block (hardware totals) and this per-core mirror.
         self.llc_stats = CacheStats()
 
-        # Always-on subscribers: counters and prefetcher feedback.
-        self.stats_observer = LevelStatsObserver(self.bus,
-                                                 snapshot_levels(self.levels),
-                                                 llc_mirror=self.llc_stats)
-        self.prefetch_accounting = PrefetchAccounting(self.bus)
-        self.prefetcher_bridge = PrefetcherBridge(self.bus, prefetcher)
+        llc_level = CacheLevel(FillLevel.LLC, shared_llc.cache, self.bus,
+                               self.dram_port, shared=shared_llc,
+                               mirror=self.llc_stats, prefetcher=prefetcher)
+        l2c_level = CacheLevel(FillLevel.L2C,
+                               Cache(config.l2c, name=f"L2C{core_id}"),
+                               self.bus, self.dram_port, below=llc_level,
+                               prefetcher=prefetcher)
+        l1d_level = CacheLevel(FillLevel.L1D,
+                               Cache(config.l1d, name=f"L1D{core_id}"),
+                               self.bus, self.dram_port, below=l2c_level,
+                               prefetcher=prefetcher)
+        # Descent order: closest to the core first.
+        self.levels: tuple[CacheLevel, ...] = (l1d_level, l2c_level, llc_level)
+        # (level, fill-heap) pairs in sync order — LLC first, so inclusive
+        # back-invalidations precede private-level fills.  The FillQueue
+        # never reassigns its heap, so the pairs stay valid.
+        self._sync_pairs: tuple[tuple[CacheLevel, list], ...] = tuple(
+            (level, level.fills._heap)
+            for level in (llc_level, l2c_level, l1d_level))
+        self.l1d = l1d_level.storage
+        self.l2c = l2c_level.storage
+        self.llc = llc_level.storage
+        shared_llc.register(self.l1d, self.l2c)
+        # A demand merging with an in-flight fill never waits longer than
+        # its own demand-priority refetch would take.
+        self._merge_cap = dram.latency + 2 * dram.service_cycles
+
+        self.issued_prefetches: dict[FillLevel, int] = {}
+        self.dropped_prefetches = 0
+        self.drop_reasons: dict[str, int] = {}
+        self._reset_prefetch_accounting()
+        self._on_prefetch_fill = prefetcher.on_prefetch_fill
+        self._ev_issued = PrefetchIssued(FillLevel.L1D, 0, 0, 0.0)
+        self._ev_dropped = PrefetchDropped(FillLevel.L1D, 0, "", 0.0)
+        self._issued_subs = self.bus.handlers(PrefetchIssued)
+        self._dropped_subs = self.bus.handlers(PrefetchDropped)
 
     @classmethod
     def build(cls, config: SystemConfig, prefetcher: Prefetcher) -> "Hierarchy":
@@ -151,63 +147,22 @@ class Hierarchy:
 
     def level_for(self, level: FillLevel) -> CacheLevel:
         """The component serving one :class:`FillLevel`."""
-        return self.levels[level - FillLevel.L1D]
+        return self.levels[level - 1]
 
-    # -------------------------------------------------- prefetch accounting
-
-    @property
-    def issued_prefetches(self) -> dict[FillLevel, int]:
-        """Accepted prefetches per target level."""
-        return self.prefetch_accounting.issued_prefetches
-
-    @property
-    def dropped_prefetches(self) -> int:
-        """Total rejected prefetches (all reasons)."""
-        return self.prefetch_accounting.dropped_prefetches
-
-    @property
-    def drop_reasons(self) -> dict[str, int]:
-        """Rejected prefetches by admission-check reason."""
-        return self.prefetch_accounting.drop_reasons
-
-    # ------------------------------------------------------------------ sync
+    def _reset_prefetch_accounting(self) -> None:
+        # Every rejection counts as dropped, whatever the reason, so
+        # ``dropped_prefetches == sum(drop_reasons.values())`` always.
+        self.issued_prefetches = {level: 0 for level in FillLevel}
+        self.dropped_prefetches = 0
+        self.drop_reasons = {reason: 0 for reason in DROP_REASONS}
 
     def _sync(self, cycle: float) -> None:
-        """Apply every fill whose data has arrived by `cycle` (LLC first,
-        so inclusive back-invalidations precede private-level fills).
-
-        Peeks each level's fill heap directly: this runs per demand
-        access and almost always finds nothing ready, so the common case
-        must not cost a method call per level.
-        """
+        """Apply every fill whose data has arrived by `cycle` (LLC first)."""
         for level, heap in self._sync_pairs:
             if heap and heap[0][0] <= cycle:
                 level.sync(cycle)
 
     # ----------------------------------------------------------- demand path
-
-    def _promote_wait(self, wait: float) -> float:
-        """Cap a merge wait at a demand-priority refetch.
-
-        A demand that matches an in-flight prefetch is promoted by the
-        memory controller; it never waits longer than issuing its own
-        prioritised request would take.
-        """
-        cap = self.dram.latency + 2 * self.dram.service_cycles
-        return min(wait, cap)
-
-    def _backfill(self, txn: MemTransaction, depth: int, ready: float,
-                  cycle: float) -> None:
-        """Fill every level above `depth` with the line found there.
-
-        Runs bottom-up (L2C before L1D on an LLC hit); only the L1D copy
-        carries the demand's write intent.
-        """
-        levels = self.levels
-        is_write = txn.is_write
-        for i in range(depth - 1, -1, -1):
-            levels[i].fill(txn.line, ready, cycle,
-                           is_write=is_write and i == 0)
 
     def demand_access(self, address: int, cycle: float,
                       is_write: bool = False) -> tuple[float, bool]:
@@ -215,36 +170,86 @@ class Hierarchy:
         for level, heap in self._sync_pairs:  # inline _sync (hot path)
             if heap and heap[0][0] <= cycle:
                 level.sync(cycle)
-        txn = self._demand_txn
-        txn.address = address
-        txn.line = address >> CACHELINE_BITS
-        txn.is_write = is_write
-        txn.issue_cycle = cycle
-        txn.latency = 0.0
-
-        for depth, level in enumerate(self.levels):
-            if level.lookup(txn, cycle + txn.latency):
-                txn.latency += level.hit_latency
-                self._backfill(txn, depth, cycle + txn.latency, cycle)
-                return txn.latency, depth == 0
-            txn.latency += level.hit_latency
-            pending = level.merge_pending(txn, cycle)
+        line = address >> CACHELINE_BITS
+        levels = self.levels
+        latency = 0.0
+        depth = 0
+        for level in levels:
+            cache_set = level.sets[line % level.num_sets]
+            entry = cache_set.pop(line, None)
+            stats = level.stats
+            mirror = level.mirror
+            stats.demand_accesses += 1
+            if mirror is not None:
+                mirror.demand_accesses += 1
+            if entry is not None:
+                cache_set[line] = entry  # re-insert at the MRU end
+                if is_write:
+                    entry.dirty = True
+                stats.demand_hits += 1
+                if mirror is not None:
+                    mirror.demand_hits += 1
+                if level.access_subs:
+                    level.publish_access(line, True, is_write,
+                                         cycle + latency)
+                if entry.prefetched:
+                    entry.prefetched = False
+                    level.storage.version += 1
+                    level.prefetch_useful(line, address, False,
+                                          cycle + latency)
+                latency += level.hit_latency
+                # Backfill the levels above, bottom-up; only the L1D
+                # copy carries the demand's write intent.
+                if depth == 2:
+                    levels[1].fill(line, cycle + latency, cycle)
+                if depth:
+                    levels[0].fill(line, cycle + latency, cycle, False,
+                                   is_write)
+                return latency, depth == 0
+            stats.demand_misses += 1
+            if mirror is not None:
+                mirror.demand_misses += 1
+            if level.access_subs:
+                level.publish_access(line, False, is_write, cycle + latency)
+            latency += level.hit_latency
+            pending = level.mshr.get(line)
             if pending is not None:
-                merge = self._promote_wait(max(0.0, pending - cycle))
-                self._backfill(txn, depth, cycle + txn.latency + merge, cycle)
-                return txn.latency + merge, False
+                completion, is_prefetch = pending
+                if is_prefetch:
+                    # The demand caught its own prefetch in flight: useful
+                    # but late, and the fill is demoted to a demand's so
+                    # its arrival is not counted again.
+                    level.prefetch_useful(line, address, True, cycle)
+                    level.storage.mshr_allocate(line, completion)
+                    level.fills.strip_prefetch_flag(line)
+                merge = min(max(0.0, completion - cycle), self._merge_cap)
+                if depth == 2:
+                    levels[1].fill(line, cycle + latency + merge, cycle)
+                if depth:
+                    levels[0].fill(line, cycle + latency + merge, cycle,
+                                   False, is_write)
+                return latency + merge, False
             if depth == 0:
                 # The core blocks only on L1 MSHR availability; the lower
                 # levels admit the descending miss with the L1 slot held.
-                txn.latency += self._mshr_stall(level.storage, cycle)
+                storage = level.storage
+                if cycle >= storage._mshr_min:
+                    storage.mshr_prune(cycle)
+                if len(level.mshr) >= storage._mshr_capacity:
+                    latency += self._mshr_stall(storage, cycle)
+            depth += 1
 
-        completion = self.dram_port.request(txn.line, cycle + txn.latency)
-        for level in self.levels:
-            level.storage.mshr_allocate(txn.line, completion, now=cycle)
-        for level in reversed(self.levels):
-            level.storage.schedule_fill(
-                txn.line, completion,
-                is_write=is_write and level is self.levels[0])
+        completion = self.dram_port.request(line, cycle + latency)
+        for level in levels:
+            storage = level.storage
+            if cycle >= storage._mshr_min:
+                storage.mshr_prune(cycle)
+            level.mshr[line] = (completion, False)
+            heappush(storage._mshr_heap, (completion, line))
+            if completion < storage._mshr_min:
+                storage._mshr_min = completion
+            level.fill(line, completion, cycle, False,
+                       is_write and level is levels[0])
         return completion - cycle, False
 
     def _mshr_stall(self, cache: Cache, cycle: float) -> float:
@@ -253,7 +258,7 @@ class Hierarchy:
         while cache.mshr_free(cycle + waited) <= 0:
             earliest = cache.mshr_earliest()
             if earliest <= cycle + waited:
-                cache.mshr_release_completed(earliest)
+                cache.mshr_prune(earliest)
                 continue
             waited = earliest - cycle
         return waited
@@ -263,9 +268,11 @@ class Hierarchy:
     def issue_prefetch(self, request: PrefetchRequest, cycle: float) -> bool:
         """Try to issue one prefetch; returns True if it was accepted.
 
-        Rejections (already resident or in flight close enough, PQ full,
-        no spare MSHR) mirror the hardware conditions the paper describes;
-        each publishes a :class:`PrefetchDropped` with its reason.
+        Rejections mirror the hardware conditions the paper describes:
+        the line is already resident or in flight at or above the target
+        (``resident``), the target's prefetch queue is full
+        (``pq_full``), or taking an MSHR would leave none for demands
+        (``mshr_full``).
         """
         for level, heap in self._sync_pairs:  # inline _sync (hot path)
             if heap and heap[0][0] <= cycle:
@@ -274,75 +281,84 @@ class Hierarchy:
         line = address >> CACHELINE_BITS
         level_id = request.level
         levels = self.levels
-        depth = level_id - FillLevel.L1D
+        depth = level_id - 1
         target = levels[depth]
+        storage = target.storage
 
-        reason = self._admission_reject(line, target, depth, cycle)
+        reason = None
+        for i in range(depth + 1):
+            level = levels[i]
+            if line in level.sets[line % level.num_sets] or line in level.mshr:
+                reason = "resident"
+                break
+        else:
+            pq = storage._pq
+            while pq and pq[0] <= cycle:
+                heappop(pq)
+            if len(pq) >= storage.params.pq_entries:
+                reason = "pq_full"
+            else:
+                if cycle >= storage._mshr_min:
+                    storage.mshr_prune(cycle)
+                # Prefetches may not take the last MSHR (Section IV-B).
+                if storage._mshr_capacity - len(target.mshr) <= 1:
+                    reason = "mshr_full"
         if reason is not None:
-            ev = self._ev_dropped
-            ev.level = level_id
-            ev.line = line
-            ev.reason = reason
-            ev.cycle = cycle
-            for handler in self._dropped_handlers:
-                handler(ev)
+            self.dropped_prefetches += 1
+            self.drop_reasons[reason] += 1
+            if self._dropped_subs:
+                ev = self._ev_dropped
+                ev.level = level_id
+                ev.line = line
+                ev.reason = reason
+                ev.cycle = cycle
+                for handler in self._dropped_subs:
+                    handler(ev)
             return False
 
-        llc = levels[-1]
-        llc_storage = llc.storage
+        llc = levels[2]
         # Fills below never change LLC residency, so one probe serves
-        # both the latency decision and the fill loop.
-        llc_resident = llc_storage.contains(line)
-        if llc_resident and target is not llc:
+        # both the latency decision and the fills.
+        llc_resident = line in llc.sets[line % llc.num_sets]
+        if llc_resident and depth != 2:
             # On-chip move: promote from the LLC without DRAM traffic.
             ready = cycle + llc.hit_latency
         else:
-            llc_pending = llc_storage.mshr_pending(line)
+            llc_pending = llc.mshr.get(line)
             if llc_pending is not None:
-                # Piggy-back on the fetch already in flight.
-                ready = llc_pending
+                ready = llc_pending[0]  # piggy-back on the fetch in flight
             else:
-                arrival = cycle + llc.hit_latency
-                ready = self.dram_port.request(line, arrival,
+                ready = self.dram_port.request(line, cycle + llc.hit_latency,
                                                is_prefetch=True)
-            target.storage.mshr_allocate(line, ready, now=cycle,
-                                         is_prefetch=True)
+            # The admission check above already pruned this MSHR at
+            # `cycle`, so the allocation needs no second prune.
+            target.mshr[line] = (ready, True)
+            heappush(storage._mshr_heap, (ready, line))
+            if ready < storage._mshr_min:
+                storage._mshr_min = ready
 
-        # The target level gets the prefetched bit; every level below it
-        # is filled too (inclusive path), the LLC only when absent.
-        for i in range(depth, len(levels)):
-            level = levels[i]
-            if level is llc and level is not target:
-                if not llc_resident:
-                    level.fill(line, ready, cycle)
-            else:
-                level.fill(line, ready, cycle,
-                           prefetched=level is target)
+        # The target gets the prefetched bit; every level below it is
+        # filled too (inclusive path), the LLC only when absent.
+        target.fill(line, ready, cycle, True)
+        if depth == 0:
+            levels[1].fill(line, ready, cycle)
+        if depth != 2 and not llc_resident:
+            llc.fill(line, ready, cycle)
 
         # A PQ entry holds the request only until it is handed to the
         # memory system (ChampSim semantics), not until the fill lands.
-        target.storage.pq_push(cycle + target.hit_latency)
-        ev = self._ev_issued
-        ev.level = level_id
-        ev.line = line
-        ev.address = address
-        ev.cycle = cycle
-        for handler in self._issued_handlers:
-            handler(ev)
+        heappush(storage._pq, cycle + target.hit_latency)
+        self.issued_prefetches[level_id] += 1
+        self._on_prefetch_fill(address, level_id)
+        if self._issued_subs:
+            ev = self._ev_issued
+            ev.level = level_id
+            ev.line = line
+            ev.address = address
+            ev.cycle = cycle
+            for handler in self._issued_subs:
+                handler(ev)
         return True
-
-    def _admission_reject(self, line: int, target: CacheLevel,
-                          depth: int, cycle: float) -> str | None:
-        """First failing admission check for a prefetch, if any."""
-        levels = self.levels
-        for i in range(depth + 1):
-            if levels[i].storage.resident_or_pending(line):
-                return "resident"
-        if target.storage.pq_free(cycle) <= 0:
-            return "pq_full"
-        if not target.storage.mshr_has_room_for_prefetch(cycle):
-            return "mshr_full"
-        return None
 
     # ----------------------------------------------------------- SystemView
 
@@ -386,7 +402,7 @@ class Hierarchy:
         """
         self.l1d.stats.reset()
         self.l2c.stats.reset()
-        self.prefetch_accounting.reset()
+        self._reset_prefetch_accounting()
 
     def reset_shared_attribution(self) -> None:
         """Clear this core's view of the shared resources (LLC mirror and

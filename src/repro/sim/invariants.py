@@ -529,7 +529,7 @@ class InvariantAuditor:
                            cycle=cycle, level=block.level)
 
     def _audit_prefetch_accounting(self, cycle: float) -> None:
-        accounting = self.hierarchy.prefetch_accounting
+        accounting = self.hierarchy
         if accounting.dropped_prefetches != sum(
                 accounting.drop_reasons.values()):
             self._fail("drop-accounting",

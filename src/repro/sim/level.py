@@ -1,32 +1,34 @@
-"""Per-level cache components and the transaction that descends them.
+"""Per-level cache components: the fill side of the memory kernel.
 
 A :class:`CacheLevel` bundles one level's storage (:class:`~repro.sim.cache.Cache`
-— set arrays, MSHRs, PQ, fill queue) with the *behaviour* the old
-``Hierarchy`` god-object hard-coded three times: demand lookup, in-flight
-merge, fill application with victim handling, and dirty-victim drain.
-Levels are connected by explicit ports: ``below`` points one level further
-from the core (L1D → L2C → LLC → ``None``), ``dram`` is every level's
-memory port for writebacks, and the LLC level additionally carries the
-:class:`~repro.sim.hierarchy.SharedLLC` registry that enforces inclusion.
+— set arrays, MSHRs, PQ, fill queue) with the behaviour that runs when
+data arrives: applying fills, handling the victim (inclusive
+back-invalidation, prefetcher feedback, dirty-victim drain) and the
+end-of-run flush.  Levels are connected by explicit ports: ``below``
+points one level further from the core (L1D → L2C → LLC → ``None``),
+``dram`` is every level's memory port for writebacks, and the LLC level
+additionally carries the :class:`~repro.sim.hierarchy.SharedLLC`
+registry that enforces inclusion.  The demand and prefetch descents live
+in :class:`~repro.sim.hierarchy.Hierarchy`, which reads the same
+per-level fields directly.
 
-Demand and prefetch traffic is carried by a single :class:`MemTransaction`
-that accumulates latency as it descends; the hierarchy kernel walks the
-level chain with one loop instead of per-level copy-pasted blocks.
-
-Every side effect that is *not* timing — prefetch accounting, evictions,
-back-invalidations, writebacks — is published as a typed event on the
-shared bus (:mod:`repro.sim.events`); this module never touches a stats
-counter or a prefetcher hook directly.
+Every event is counted where it happens.  A level writes its own
+:class:`~repro.sim.cache.CacheStats` block (and, at the LLC, the owning
+core's ``mirror`` block) and calls the prefetcher's feedback hooks
+itself.  Typed events (:mod:`repro.sim.events`) are built and dispatched
+only when the bus has a subscriber for the type — the opt-in
+:class:`~repro.sim.observers.EventTrace` or the invariant auditor — so
+an unobserved run pays one truth test per event site.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
-from ..prefetchers.base import FillLevel
-from .cache import Cache
+from ..memtrace.access import CACHELINE_BITS
+from ..prefetchers.base import FillLevel, Prefetcher
+from .cache import Cache, CacheLine, CacheStats, PendingFill
 from .events import (
     BackInvalidation,
     CacheAccess,
@@ -42,75 +44,72 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .dram import Dram, DramPort
     from .hierarchy import SharedLLC
 
-DEMAND = "demand"
-PREFETCH = "prefetch"
-
-
-@dataclass(slots=True)
-class MemTransaction:
-    """One request descending the hierarchy.
-
-    Carries the byte address, its cacheline, the origin (demand or
-    prefetch), the target fill level (prefetches only) and the latency
-    accumulated so far.  The same object is threaded through every level
-    a request visits, replacing the per-level local variables of the old
-    monolithic demand path.
-    """
-
-    address: int
-    line: int
-    origin: str = DEMAND
-    is_write: bool = False
-    target: FillLevel | None = None
-    issue_cycle: float = 0.0
-    latency: float = 0.0
+INF = float("inf")
 
 
 class CacheLevel:
-    """One cache level: storage plus ported, event-publishing behaviour.
+    """One cache level: storage, counters, feedback hooks and event pool.
 
-    Publishes through *pooled* event instances (one per type, ``level``
-    pre-set) dispatched over the bus's live handler lists — see the
-    transient-events contract in :mod:`repro.sim.events`.  This keeps the
-    per-access observer cost to field writes plus handler calls, with no
-    allocation and no ``publish()`` indirection on the hot path.
+    The storage's hot structures (``sets``, ``mshr``, ``fills``) are
+    exposed on the component itself — the storage never reassigns them —
+    so the descent reads them without a second attribute hop.  Events
+    go out through *pooled* instances (one per type, ``level`` pre-set,
+    fields rewritten per publication; see :mod:`repro.sim.events`) over
+    the bus's live handler lists, and only when a list is non-empty.
     """
 
     __slots__ = ("level", "storage", "bus", "dram", "below", "shared",
-                 "hit_latency",
-                 "_ev_access", "_ev_useful", "_ev_pfill", "_ev_evict",
-                 "_ev_useless", "_ev_wb",
-                 "_access_handlers", "_useful_handlers", "_pfill_handlers",
-                 "_evict_handlers", "_useless_handlers", "_wb_handlers",
-                 "_binv_handlers")
+                 "stats", "mirror", "sets", "num_sets", "ways", "mshr",
+                 "fills", "hit_latency", "on_evict", "on_useful",
+                 "on_useless",
+                 "ev_access", "ev_useful", "ev_fill", "ev_evict",
+                 "ev_useless", "ev_wb",
+                 "access_subs", "useful_subs", "fill_subs", "evict_subs",
+                 "useless_subs", "wb_subs", "binv_subs")
 
     def __init__(self, level: FillLevel, storage: Cache, bus: EventBus,
                  dram: "Dram | DramPort", below: "CacheLevel | None" = None,
-                 shared: "SharedLLC | None" = None) -> None:
+                 shared: "SharedLLC | None" = None, *,
+                 mirror: CacheStats | None = None,
+                 prefetcher: Prefetcher | None = None) -> None:
         self.level = level
         self.storage = storage
         self.bus = bus
         self.dram = dram
         self.below = below
         self.shared = shared
-        # Cached off the params: read on every descent step.
+        self.stats = storage.stats
+        # A second counter block every event here also increments: at a
+        # shared LLC the storage block holds the hardware totals and the
+        # mirror the owning core's attributed view.
+        self.mirror = mirror
+        self.sets = storage._sets
+        self.num_sets = storage.num_sets
+        self.ways = storage.ways
+        self.mshr = storage._mshr
+        self.fills = storage.fills
         self.hit_latency: int = storage.params.hit_latency
-        # Pooled transient events (fields rewritten per publication) and
-        # the bus's live handler lists (subscribe/unsubscribe mutate them
-        # in place, so these references never go stale).
-        self._ev_access = CacheAccess(level, 0, False, False, 0.0)
-        self._ev_useful = PrefetchUseful(level, 0, 0, False, 0.0)
-        self._ev_pfill = PrefetchFill(level, 0, 0.0)
-        self._ev_evict = Eviction(level, 0, False, False, 0.0)
-        self._ev_useless = PrefetchUseless(level, 0, "", 0.0)
-        self._ev_wb = Writeback(level, 0, False, 0.0)
-        self._access_handlers = bus.handlers(CacheAccess)
-        self._useful_handlers = bus.handlers(PrefetchUseful)
-        self._pfill_handlers = bus.handlers(PrefetchFill)
-        self._evict_handlers = bus.handlers(Eviction)
-        self._useless_handlers = bus.handlers(PrefetchUseless)
-        self._wb_handlers = bus.handlers(Writeback)
-        self._binv_handlers = bus.handlers(BackInvalidation)
+        if prefetcher is None:
+            prefetcher = Prefetcher()
+        # Feedback goes straight to the prefetcher: L1D victims reach
+        # ``on_evict``; back-invalidations and end-of-run flushes reach
+        # no hook at all.
+        self.on_evict = prefetcher.on_evict if level == FillLevel.L1D else None
+        self.on_useful = prefetcher.on_prefetch_useful
+        self.on_useless = prefetcher.on_prefetch_useless
+        self.ev_access = CacheAccess(level, 0, False, False, 0.0)
+        self.ev_useful = PrefetchUseful(level, 0, 0, False, 0.0)
+        self.ev_fill = PrefetchFill(level, 0, 0.0)
+        self.ev_evict = Eviction(level, 0, False, False, 0.0)
+        self.ev_useless = PrefetchUseless(level, 0, "", 0.0)
+        self.ev_wb = Writeback(level, 0, False, 0.0)
+        self.access_subs = bus.handlers(CacheAccess)
+        self.useful_subs = bus.handlers(PrefetchUseful)
+        self.fill_subs = bus.handlers(PrefetchFill)
+        self.evict_subs = bus.handlers(Eviction)
+        self.useless_subs = bus.handlers(PrefetchUseless)
+        self.wb_subs = bus.handlers(Writeback)
+        self.binv_subs = bus.handlers(BackInvalidation)
 
     @property
     def name(self) -> str:
@@ -119,68 +118,49 @@ class CacheLevel:
 
     # ----------------------------------------------------------- demand side
 
-    def lookup(self, txn: MemTransaction, cycle: float) -> bool:
-        """Demand lookup for a descending transaction; returns hit.
-
-        Publishes the per-level :class:`CacheAccess` and, when the hit
-        consumed a prefetched bit, :class:`PrefetchUseful`.
-        """
-        hit, used_prefetch = self.storage.access(txn.line, cycle, txn.is_write)
-        ev = self._ev_access
-        ev.line = txn.line
-        ev.hit = hit
-        ev.is_write = txn.is_write
-        ev.cycle = cycle
-        for handler in self._access_handlers:
-            handler(ev)
-        if used_prefetch:
-            self._publish_useful(txn.line, txn.address, False, cycle)
-        return hit
-
-    def _publish_useful(self, line: int, address: int, late: bool,
-                        cycle: float) -> None:
-        ev = self._ev_useful
+    def publish_access(self, line: int, hit: bool, is_write: bool,
+                       cycle: float) -> None:
+        """Deliver one :class:`CacheAccess` to the subscribers."""
+        ev = self.ev_access
         ev.line = line
-        ev.address = address
-        ev.late = late
+        ev.hit = hit
+        ev.is_write = is_write
         ev.cycle = cycle
-        for handler in self._useful_handlers:
+        for handler in self.access_subs:
             handler(ev)
 
-    def merge_pending(self, txn: MemTransaction, cycle: float) -> float | None:
-        """Completion cycle of an in-flight miss on this line, if any.
-
-        A demand that catches its own prefetch still in flight resolves
-        it useful-but-late; the MSHR entry and the pending fill are
-        demoted to demand so the arriving fill is not counted again.
-        """
-        entry = self.storage._mshr.get(txn.line)
-        if entry is None:
-            return None
-        pending, is_prefetch = entry
-        if is_prefetch:
-            self._publish_useful(txn.line, txn.address, True, cycle)
-            self.storage.mshr_allocate(txn.line, pending, is_prefetch=False)
-            self.storage.fills.strip_prefetch_flag(txn.line)
-        return pending
+    def prefetch_useful(self, line: int, address: int, late: bool,
+                        cycle: float) -> None:
+        """A demand consumed a prefetch: resident (its bit already
+        cleared by the caller) or ``late``, merged while in flight."""
+        stats = self.stats
+        stats.useful_prefetches += 1
+        if late:
+            stats.late_prefetch_hits += 1
+        mirror = self.mirror
+        if mirror is not None:
+            mirror.useful_prefetches += 1
+            if late:
+                mirror.late_prefetch_hits += 1
+        self.on_useful(address, self.level)
+        if self.useful_subs:
+            ev = self.ev_useful
+            ev.line = line
+            ev.address = address
+            ev.late = late
+            ev.cycle = cycle
+            for handler in self.useful_subs:
+                handler(ev)
 
     # ------------------------------------------------------------- fill side
 
     def sync(self, cycle: float) -> None:
-        """Apply every pending fill whose data has arrived by ``cycle``.
-
-        Drains the fill queue in place (heap + per-line index — the same
-        structures :meth:`FillQueue.pop_ready` maintains) rather than
-        materialising a ready-list: this runs once per demand access per
-        level, and in miss-heavy runs nearly always has work to do.
-        """
-        storage = self.storage
-        fills = storage.fills
+        """Apply every pending fill whose data has arrived by ``cycle``,
+        releasing each line's MSHR entry as its fill lands."""
+        fills = self.fills
         heap = fills._heap
-        if not heap or heap[0][0] > cycle:
-            return
         by_line = fills._by_line
-        mshr_release = storage.mshr_release
+        mshr = self.mshr
         apply_fill = self.apply_fill
         while heap and heap[0][0] <= cycle:
             fill = heappop(heap)[2]
@@ -192,60 +172,100 @@ class CacheLevel:
                 del by_line[line]
             else:
                 bucket.remove(fill)
-            mshr_release(line)
-            apply_fill(line, fill.ready, prefetched=fill.prefetched,
-                       is_write=fill.is_write)
+            mshr.pop(line, None)
+            if not mshr:
+                # As Cache.mshr_release: re-tighten the prune bound.
+                storage = self.storage
+                storage._mshr_heap.clear()
+                storage._mshr_min = INF
+            apply_fill(line, fill.ready, fill.prefetched, fill.is_write)
 
-    def fill(self, line: int, ready: float, cycle: float, *,
+    def fill(self, line: int, ready: float, cycle: float,
              prefetched: bool = False, is_write: bool = False) -> None:
-        """Apply now if the data is already here, otherwise defer."""
+        """Apply now if the data is already here, otherwise queue the
+        fill for ``ready`` (the same heap + per-line index as
+        :meth:`FillQueue.push`)."""
         if ready <= cycle:
-            self.apply_fill(line, cycle, prefetched=prefetched,
-                            is_write=is_write)
+            self.apply_fill(line, cycle, prefetched, is_write)
+            return
+        fills = self.fills
+        seq = fills._seq
+        fills._seq = seq + 1
+        pending = PendingFill(ready, line, prefetched, is_write)
+        heappush(fills._heap, (ready, seq, pending))
+        bucket = fills._by_line.get(line)
+        if bucket is None:
+            fills._by_line[line] = [pending]
         else:
-            self.storage.schedule_fill(line, ready, prefetched=prefetched,
-                                       is_write=is_write)
+            bucket.append(pending)
 
-    def apply_fill(self, line: int, cycle: float, *, prefetched: bool = False,
+    def apply_fill(self, line: int, cycle: float, prefetched: bool = False,
                    is_write: bool = False) -> None:
         """Install a line whose data is here, resolving its victim.
 
-        Victim policy is the one place level behaviour genuinely differs,
-        expressed through the ports: a level with a ``shared`` registry
-        (the inclusive LLC) back-invalidates every registered private
-        cache; dirty victims drain through ``below`` — absorbed when the
-        next level holds the line, written back to DRAM otherwise.
+        A refill of a resident line only refreshes recency (and never
+        re-marks a demand-fetched line as a prefetch).  A level with a
+        ``shared`` registry (the inclusive LLC) back-invalidates every
+        registered private copy of its victim; dirty victims drain
+        through ``below`` — absorbed when a lower level holds the line,
+        written back to DRAM otherwise.
         """
-        inserted, victim, victim_entry = self.storage.fill_now(
-            line, cycle, prefetched=prefetched, is_write=is_write)
-        if not inserted:
+        cache_set = self.sets[line % self.num_sets]
+        existing = cache_set.pop(line, None)
+        if existing is not None:
+            cache_set[line] = existing
             return
+        self.storage.version += 1
+        if len(cache_set) >= self.ways:
+            victim = next(iter(cache_set))
+            victim_entry = cache_set.pop(victim)
+        else:
+            victim = None
+        cache_set[line] = CacheLine(prefetched, is_write)
+        stats = self.stats
+        mirror = self.mirror
         if prefetched:
-            ev = self._ev_pfill
-            ev.line = line
-            ev.cycle = cycle
-            for handler in self._pfill_handlers:
-                handler(ev)
+            stats.prefetch_fills += 1
+            if mirror is not None:
+                mirror.prefetch_fills += 1
+            if self.fill_subs:
+                ev = self.ev_fill
+                ev.line = line
+                ev.cycle = cycle
+                for handler in self.fill_subs:
+                    handler(ev)
         if victim is None:
             return
-        ev = self._ev_evict
-        ev.line = victim
-        ev.prefetched = victim_entry.prefetched
-        ev.dirty = victim_entry.dirty
-        ev.cycle = cycle
-        for handler in self._evict_handlers:
-            handler(ev)
+
+        stats.evictions += 1
+        if mirror is not None:
+            mirror.evictions += 1
+        if self.on_evict is not None:
+            self.on_evict(victim << CACHELINE_BITS)
+        if self.evict_subs:
+            ev = self.ev_evict
+            ev.line = victim
+            ev.prefetched = victim_entry.prefetched
+            ev.dirty = victim_entry.dirty
+            ev.cycle = cycle
+            for handler in self.evict_subs:
+                handler(ev)
         dirty_private = False
         if self.shared is not None:
             for cache, entry in self.shared.back_invalidate(victim):
                 if entry.dirty:
                     dirty_private = True
-                binv = BackInvalidation(cache.name, victim, entry.prefetched,
-                                        entry.dirty, cycle, cache.stats)
-                for handler in self._binv_handlers:
-                    handler(binv)
+                if entry.prefetched:
+                    # The invalidated cache may be another core's.
+                    cache.stats.useless_prefetches += 1
+                if self.binv_subs:
+                    binv = BackInvalidation(cache.name, victim,
+                                            entry.prefetched, entry.dirty,
+                                            cycle, cache.stats)
+                    for handler in self.binv_subs:
+                        handler(binv)
         if victim_entry.prefetched:
-            self._publish_useless(victim, "evicted", cycle)
+            self.prefetch_useless(victim, "evicted", cycle)
         # A dirty back-invalidated private copy holds data newer than the
         # LLC line it shadowed; with that line gone, the only place left
         # for it is memory — one writeback covers the freshest copy even
@@ -253,13 +273,21 @@ class CacheLevel:
         if victim_entry.dirty or dirty_private:
             self._drain_dirty(victim, cycle)
 
-    def _publish_useless(self, line: int, reason: str, cycle: float) -> None:
-        ev = self._ev_useless
-        ev.line = line
-        ev.reason = reason
-        ev.cycle = cycle
-        for handler in self._useless_handlers:
-            handler(ev)
+    def prefetch_useless(self, line: int, reason: str, cycle: float) -> None:
+        """A prefetched line left unused: ``evicted`` reaches the
+        prefetcher, ``flushed`` (end of run) does not."""
+        self.stats.useless_prefetches += 1
+        if self.mirror is not None:
+            self.mirror.useless_prefetches += 1
+        if reason != "flushed":
+            self.on_useless(line << CACHELINE_BITS, self.level)
+        if self.useless_subs:
+            ev = self.ev_useless
+            ev.line = line
+            ev.reason = reason
+            ev.cycle = cycle
+            for handler in self.useless_subs:
+                handler(ev)
 
     def _drain_dirty(self, victim: int, cycle: float) -> None:
         """Dirty victims drain towards memory through the ``below`` chain.
@@ -282,12 +310,13 @@ class CacheLevel:
             below = below.below
         if not absorbed:
             self.dram.writeback(victim, cycle)
-        ev = self._ev_wb
-        ev.line = victim
-        ev.absorbed = absorbed
-        ev.cycle = cycle
-        for handler in self._wb_handlers:
-            handler(ev)
+        if self.wb_subs:
+            ev = self.ev_wb
+            ev.line = victim
+            ev.absorbed = absorbed
+            ev.cycle = cycle
+            for handler in self.wb_subs:
+                handler(ev)
 
     def flush_prefetch_accounting(self, cycle: float = 0.0) -> None:
         """End-of-run: resident never-used prefetched lines are useless.
@@ -296,4 +325,4 @@ class CacheLevel:
         at the end of ``--trace-events`` timelines, not at time zero.
         """
         for line in self.storage.strip_prefetched():
-            self._publish_useless(line, "flushed", cycle)
+            self.prefetch_useless(line, "flushed", cycle)

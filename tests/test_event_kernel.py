@@ -1,9 +1,10 @@
-"""The event kernel: bus semantics, observers, and prefetch accounting.
+"""The event kernel: bus semantics, feedback hooks, prefetch accounting.
 
-These tests pin the observer-bus contract the hierarchy now relies on:
-counters are written only by :class:`LevelStatsObserver`, prefetcher
-feedback flows only through :class:`PrefetcherBridge`, and the
-issued/dropped bookkeeping (:class:`PrefetchAccounting`) keeps
+These tests pin the contracts the hierarchy relies on: the bus delivers
+typed events to opt-in subscribers in subscription order, the kernel
+calls the prefetcher's feedback hooks at the event site (``on_evict``
+for L1D victims only, no hook for end-of-run flushes), and the
+issued/dropped bookkeeping keeps
 ``dropped_prefetches == sum(drop_reasons.values())`` by construction —
 the invariant the old hierarchy violated for ``resident`` drops.
 """
@@ -16,23 +17,14 @@ from repro.prefetchers.base import (
     PrefetchRequest,
     Prefetcher,
 )
-from repro.sim.cache import Cache
-from repro.sim.dram import Dram
 from repro.sim.events import (
     CacheAccess,
     EventBus,
     Eviction,
     PrefetchDropped,
-    PrefetchUseful,
-    PrefetchUseless,
 )
 from repro.sim.hierarchy import Hierarchy
-from repro.sim.level import CacheLevel, MemTransaction
-from repro.sim.observers import (
-    EventTrace,
-    LevelStatsObserver,
-    merge_counter_snapshots,
-)
+from repro.sim.observers import EventTrace, merge_counter_snapshots
 from repro.sim.params import CacheParams, SystemConfig
 
 
@@ -211,42 +203,61 @@ class RecordingPrefetcher(Prefetcher):
         self.calls.append(("fill", address, level))
 
 
+def evict_from(level, line, start_cycle):
+    """Fill conflicting lines until ``line`` is no longer resident."""
+    i = 1
+    while level.storage.contains(line):
+        level.apply_fill(line + i * level.storage.num_sets, start_cycle + i)
+        i += 1
+
+
 class TestPrefetcherBridge:
+    """The kernel calls the feedback hooks itself, with the call set the
+    old bus bridge had."""
+
     def build(self):
         pf = RecordingPrefetcher()
         return Hierarchy.build(SystemConfig.default(), pf), pf
 
     def test_on_evict_fires_for_l1d_victims_only(self):
         h, pf = self.build()
-        h.bus.publish(Eviction(FillLevel.L2C, 5, False, False, 0.0))
-        h.bus.publish(Eviction(FillLevel.LLC, 6, False, False, 0.0))
+        h.levels[1].apply_fill(5, 0.0)
+        evict_from(h.levels[1], 5, 1.0)
+        h.levels[2].apply_fill(6, 0.0)
+        evict_from(h.levels[2], 6, 1.0)
+        assert h.l2c.stats.evictions == h.llc.stats.evictions == 1
         assert pf.calls == []
-        h.bus.publish(Eviction(FillLevel.L1D, 7, False, False, 0.0))
+        h.levels[0].apply_fill(7, 0.0)
+        evict_from(h.levels[0], 7, 1.0)
         assert pf.calls == [("evict", 7 << 6)]
 
     def test_flush_useless_not_forwarded(self):
         h, pf = self.build()
-        h.bus.publish(PrefetchUseless(FillLevel.L1D, 5, "flushed", 0.0))
+        h.levels[0].apply_fill(5, 0.0, True)
+        h.flush_accounting(1.0)
+        assert h.l1d.stats.useless_prefetches == 1
         assert pf.calls == []
-        h.bus.publish(PrefetchUseless(FillLevel.L1D, 5, "evicted", 0.0))
-        assert pf.calls == [("useless", 5 << 6, FillLevel.L1D)]
+        h.levels[0].apply_fill(9, 2.0, True)
+        evict_from(h.levels[0], 9, 3.0)
+        assert h.l1d.stats.useless_prefetches == 2
+        assert pf.calls == [("evict", 9 << 6),
+                            ("useless", 9 << 6, FillLevel.L1D)]
 
     def test_useful_forwarded_with_address(self):
         h, pf = self.build()
-        h.bus.publish(PrefetchUseful(FillLevel.L2C, 5, 0x1234, False, 0.0))
+        h.levels[1].apply_fill(0x1234 >> 6, 0.0, True)
+        h.demand_access(0x1234, 1.0)
+        assert h.l2c.stats.useful_prefetches == 1
         assert pf.calls == [("useful", 0x1234, FillLevel.L2C)]
 
 
-def level_rig(ways=2, sets=2):
-    """A lone L1D-style CacheLevel wired to a bus with a stats observer."""
-    bus = EventBus()
-    params = CacheParams(size_bytes=64 * ways * sets, ways=ways,
-                         hit_latency=1, mshr_entries=4, pq_entries=4)
-    level = CacheLevel(FillLevel.L1D, Cache(params), bus,
-                       Dram(SystemConfig.default().dram))
-    stats = level.storage.stats
-    LevelStatsObserver(bus, {FillLevel.L1D: stats})
-    return level, stats
+def tiny_l1_hierarchy(ways=2, sets=2):
+    """A hierarchy whose L1D is a ``ways`` x ``sets`` toy cache."""
+    from dataclasses import replace
+    base = SystemConfig.default()
+    l1d = CacheParams(size_bytes=64 * ways * sets, ways=ways,
+                      hit_latency=1, mshr_entries=4, pq_entries=4)
+    return Hierarchy.build(replace(base, l1d=l1d), NoPrefetcher())
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=2),
@@ -254,16 +265,18 @@ def level_rig(ways=2, sets=2):
                 min_size=1, max_size=200))
 def test_accounting_identity(ops):
     """Every prefetch fill resolves exactly once: useful or useless."""
-    level, stats = level_rig()
+    h = tiny_l1_hierarchy()
+    level, stats = h.levels[0], h.l1d.stats
+    cycle = 0.0
     for i, (op, line) in enumerate(ops):
         cycle = float(i)
         if op == 0:
-            level.apply_fill(line, cycle, prefetched=True)
+            level.apply_fill(line, cycle, True)
         elif op == 1:
             level.apply_fill(line, cycle)
         else:
-            level.lookup(MemTransaction(address=line << 6, line=line), cycle)
-    level.flush_prefetch_accounting()
+            h.demand_access(line << 6, cycle)
+    h.flush_accounting(cycle)
     assert stats.prefetch_fills == (stats.useful_prefetches +
                                     stats.useless_prefetches)
     assert stats.demand_hits + stats.demand_misses == stats.demand_accesses

@@ -14,6 +14,7 @@ import pytest
 from repro.memtrace.access import MemoryAccess
 from repro.memtrace.trace import Trace
 from repro.prefetchers.base import NoPrefetcher
+from repro.sim.cache import CacheLine
 from repro.sim.engine import simulate
 from repro.sim.events import BackInvalidation
 from repro.sim.hierarchy import Hierarchy, SharedLLC
@@ -65,38 +66,57 @@ class TestAuditRequested:
 # --------------------------------------- bug 1: lost dirty back-invalidation
 
 
-def _apply_fill_dropping_dirty_private(self, line, cycle, *, prefetched=False,
+def _apply_fill_dropping_dirty_private(self, line, cycle, prefetched=False,
                                        is_write=False):
     """Pre-fix ``CacheLevel.apply_fill``: drains only when the LLC victim
     itself was dirty, silently losing dirty back-invalidated private
     copies (the historical dirty-writeback bug)."""
-    inserted, victim, victim_entry = self.storage.fill_now(
-        line, cycle, prefetched=prefetched, is_write=is_write)
-    if not inserted:
+    cache_set = self.sets[line % self.num_sets]
+    existing = cache_set.pop(line, None)
+    if existing is not None:
+        cache_set[line] = existing
         return
+    self.storage.version += 1
+    victim = victim_entry = None
+    if len(cache_set) >= self.ways:
+        victim = next(iter(cache_set))
+        victim_entry = cache_set.pop(victim)
+    cache_set[line] = CacheLine(prefetched, is_write)
     if prefetched:
-        ev = self._ev_pfill
-        ev.line = line
-        ev.cycle = cycle
-        for handler in self._pfill_handlers:
-            handler(ev)
+        self.stats.prefetch_fills += 1
+        if self.mirror is not None:
+            self.mirror.prefetch_fills += 1
+        if self.fill_subs:
+            ev = self.ev_fill
+            ev.line = line
+            ev.cycle = cycle
+            for handler in self.fill_subs:
+                handler(ev)
     if victim is None:
         return
-    ev = self._ev_evict
-    ev.line = victim
-    ev.prefetched = victim_entry.prefetched
-    ev.dirty = victim_entry.dirty
-    ev.cycle = cycle
-    for handler in self._evict_handlers:
-        handler(ev)
+    self.stats.evictions += 1
+    if self.mirror is not None:
+        self.mirror.evictions += 1
+    if self.on_evict is not None:
+        self.on_evict(victim << 6)
+    if self.evict_subs:
+        ev = self.ev_evict
+        ev.line = victim
+        ev.prefetched = victim_entry.prefetched
+        ev.dirty = victim_entry.dirty
+        ev.cycle = cycle
+        for handler in self.evict_subs:
+            handler(ev)
     if self.shared is not None:
         for cache, entry in self.shared.back_invalidate(victim):
+            if entry.prefetched:
+                cache.stats.useless_prefetches += 1
             binv = BackInvalidation(cache.name, victim, entry.prefetched,
                                     entry.dirty, cycle, cache.stats)
-            for handler in self._binv_handlers:
+            for handler in self.binv_subs:
                 handler(binv)
     if victim_entry.prefetched:
-        self._publish_useless(victim, "evicted", cycle)
+        self.prefetch_useless(victim, "evicted", cycle)
     if victim_entry.dirty:
         self._drain_dirty(victim, cycle)
 
@@ -141,12 +161,13 @@ def _drain_dirty_immediate_below_only(self, victim, cycle):
             absorbed = True
     if not absorbed:
         self.dram.writeback(victim, cycle)
-    ev = self._ev_wb
-    ev.line = victim
-    ev.absorbed = absorbed
-    ev.cycle = cycle
-    for handler in self._wb_handlers:
-        handler(ev)
+    if self.wb_subs:
+        ev = self.ev_wb
+        ev.line = victim
+        ev.absorbed = absorbed
+        ev.cycle = cycle
+        for handler in self.wb_subs:
+            handler(ev)
 
 
 class TestShallowDirtyDrain:
@@ -356,18 +377,17 @@ class TestFastPathUnderAudit:
         access (the classic off-by-one between the vector apply and the
         stats rollup) must trip stats-conservation at the block exit
         itself, not some later checkpoint."""
-        from repro.sim.observers import LevelStatsObserver
+        from repro.sim.fastpath import FastPath
 
-        def _skewed_hit_run(self, event):
-            stats, mirror = self._routes[event.level]
-            stats.demand_accesses += event.count - 1  # drops one access
-            stats.demand_hits += event.count - 1
-            if mirror is not None:
-                mirror.demand_accesses += event.count - 1
-                mirror.demand_hits += event.count - 1
+        original = FastPath._retire
 
-        monkeypatch.setattr(LevelStatsObserver, "_on_hit_run",
-                            _skewed_hit_run)
+        def _skewed_retire(self, run, t, lines, last_cycle):
+            # Count one access too few, then publish the honest block.
+            self._l1_stats.demand_accesses -= 1
+            self._l1_stats.demand_hits -= 1
+            original(self, run, t, lines, last_cycle)
+
+        monkeypatch.setattr(FastPath, "_retire", _skewed_retire)
         hierarchy, auditor, scanner = self._hot_machine()
         with pytest.raises(InvariantViolation) as exc:
             scanner.try_run(0, 64)
