@@ -11,11 +11,12 @@ The measurement is built to hold still on a shared machine:
 
 * CPU time (``time.process_time``), not wall time, so time spent
   descheduled does not count against either side;
-* every repeat runs whole simulations until it has used at least
-  ``--min-seconds`` of CPU, and reports CPU time per simulation;
-* audited and unaudited repeats run as interleaved pairs, alternating
-  which side goes first, so a slow phase of the host hits both sides;
-* the verdict is the median of the per-pair ratios.
+* each pair runs whole simulations, audited and unaudited alternating
+  call by call, until each side has used at least ``--min-seconds`` of
+  CPU, so a slow phase of the host hits both sides alike;
+* a pair's ratio is the median over its back-to-back calls of the
+  audited/unaudited CPU-time ratio, and the verdict is the median of
+  the per-pair ratios.
 
 ``--self-compare`` times unaudited code against itself with the same
 procedure; it must pass, which shows the gate does not fail on noise.
@@ -34,29 +35,31 @@ import sys
 import time
 
 
-def cpu_per_call(fn, min_seconds: float) -> float:
-    """CPU seconds per ``fn()`` call, over at least ``min_seconds``."""
-    calls = 0
-    start = time.process_time()
-    while True:
-        fn()
-        calls += 1
-        elapsed = time.process_time() - start
-        if elapsed >= min_seconds:
-            return elapsed / calls
-
-
 def paired_ratios(base, test, pairs: int, min_seconds: float) -> list[float]:
-    """``test / base`` CPU-time ratio of each interleaved pair."""
+    """``test / base`` CPU time per call, one ratio per pair.
+
+    Within a pair the two sides alternate call by call (which one goes
+    first alternates between pairs) until each has used ``min_seconds``
+    of CPU.  Each back-to-back (base, test) couple of calls gives one
+    ratio, and the pair reports their median, so a burst of host noise
+    that lands on a single call cannot move the pair.
+    """
+    clock = time.process_time
+    fns = (base, test)
     ratios = []
     for i in range(pairs):
-        if i % 2:
-            t = cpu_per_call(test, min_seconds)
-            b = cpu_per_call(base, min_seconds)
-        else:
-            b = cpu_per_call(base, min_seconds)
-            t = cpu_per_call(test, min_seconds)
-        ratios.append(t / b)
+        used = [0.0, 0.0]
+        couples = []
+        order = (1, 0) if i % 2 else (0, 1)
+        while not couples or min(used) < min_seconds:
+            cost = [0.0, 0.0]
+            for side in order:
+                start = clock()
+                fns[side]()
+                cost[side] = clock() - start
+                used[side] += cost[side]
+            couples.append(cost[1] / cost[0])
+        ratios.append(statistics.median(couples))
     return ratios
 
 

@@ -1,8 +1,8 @@
 """Micro benchmarks of the kernel's profiled hot paths.
 
 Each benchmark isolates one layer the profiler names in end-to-end runs:
-event dispatch (the observer bus), cache lookup/fill (the per-level
-storage), fill-queue churn (deferred fills), PMP counter-vector training
+the kernel descent (demand lookup, prefetch admission, fill scheduling
+and sync), cache lookup/fill (the per-level storage), fill-queue churn (deferred fills), PMP counter-vector training
 and pattern extraction/prediction (the prefetcher's hot loops), the zoo
 engines' per-miss train/predict paths plus the hybrid's set-dueling
 arbitration, and trace decode (the array → ``MemoryAccess`` path every
@@ -24,19 +24,22 @@ import numpy as np
 from ..memtrace.access import MemoryAccess
 from ..memtrace.trace import Trace
 from ..memtrace.workloads import full_suite
-from ..prefetchers.base import FillLevel, NoPrefetcher, NullSystemView
+from ..prefetchers.base import (
+    FillLevel,
+    NoPrefetcher,
+    NullSystemView,
+    PrefetchRequest,
+)
 from ..prefetchers.gaze import Gaze
 from ..prefetchers.hybrid import SetDuelingArbiter
 from ..prefetchers.pangloss import Pangloss
 from ..prefetchers.pmp import PMP, extract_afe
 from ..prefetchers.sms import PatternCaptureFramework
 from ..prefetchers.triangel import Triangel
-from ..sim.cache import Cache, CacheStats, FillQueue, PendingFill
+from ..sim.cache import Cache, FillQueue, PendingFill
 from ..sim.core import Core
-from ..sim.events import CacheAccess, EventBus
 from ..sim.fastpath import MIN_RUN, FastPath
 from ..sim.hierarchy import Hierarchy
-from ..sim.observers import LevelStatsObserver
 from ..sim.params import SystemConfig
 from .harness import BenchRecord, measure
 
@@ -62,24 +65,40 @@ def _pinned_trace(accesses: int) -> Trace:
     return spec.build(accesses)
 
 
-def _build_event_dispatch(ops: int):
-    """Publish pooled CacheAccess events through live handler lists."""
-    bus = EventBus()
-    stats = {level: CacheStats() for level in FillLevel}
-    LevelStatsObserver(bus, stats)
-    handlers = bus.handlers(CacheAccess)
-    event = CacheAccess(FillLevel.L1D, 0, False, False, 0.0)
+def _build_kernel_descent(ops: int):
+    """The per-access memory kernel with no prefetcher training.
+
+    Drives ``Hierarchy.demand_access`` and ``Hierarchy.issue_prefetch``
+    over the pinned miss-heavy sample, each access followed by two
+    next-line prefetches to pinned random levels: the descent, counting,
+    prefetch admission, fill scheduling and sync that dominate a PMP run.
+    """
+    trace = _pinned_trace(ops)
+    rng = np.random.default_rng(MICRO_SEED + 4)
+    levels = rng.integers(1, 4, size=(len(trace), 2)).tolist()
+    stream = [(access.address, access.is_write,
+               [PrefetchRequest(access.address + 64 * (k + 1), FillLevel(lvl))
+                for k, lvl in enumerate(pair)])
+              for access, pair in zip(trace.accesses, levels)]
+    config = SystemConfig.default()
+    state: dict = {}
+
+    def setup() -> None:
+        state["hierarchy"] = Hierarchy.build(config, NoPrefetcher())
 
     def fn() -> None:
-        ev = event
-        for i in range(ops):
-            ev.line = i
-            ev.hit = (i & 3) != 0
-            ev.cycle = float(i)
-            for handler in handlers:
-                handler(ev)
+        hierarchy = state["hierarchy"]
+        demand = hierarchy.demand_access
+        issue = hierarchy.issue_prefetch
+        cycle = 0.0
+        for address, is_write, requests in stream:
+            demand(address, cycle, is_write)
+            for request in requests:
+                issue(request, cycle)
+            cycle += 4.0
 
-    return None, fn, float(ops), {"events_per_call": ops}
+    return setup, fn, float(ops), {"accesses_per_call": ops,
+                                   "prefetches_per_access": 2}
 
 
 def _build_cache_lookup_fill(ops: int):
@@ -322,7 +341,7 @@ def _build_trace_decode(ops: int):
 
 
 MICRO_BENCHMARKS: tuple[MicroBench, ...] = (
-    MicroBench("event_dispatch", "events/s", _build_event_dispatch),
+    MicroBench("kernel_descent", "accesses/s", _build_kernel_descent),
     MicroBench("cache_lookup_fill", "accesses/s", _build_cache_lookup_fill),
     MicroBench("fill_queue", "fills/s", _build_fill_queue),
     MicroBench("pmp_train", "merges/s", _build_pmp_train),

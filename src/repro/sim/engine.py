@@ -39,7 +39,7 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
     observer to the hierarchy's bus; its per-component counter snapshot
     lands in ``SimResult.event_counters`` (and, via the experiment
     engine, in run manifests).  When off, the observer is never
-    subscribed and the bus costs one dict probe per event type.
+    subscribed and each event site costs one truth test.
 
     ``check_invariants=True`` attaches an
     :class:`~repro.sim.invariants.InvariantAuditor` that enforces the

@@ -5,9 +5,9 @@ prefetch useful/useless/fill resolutions, evictions, inclusive
 back-invalidations, dirty-victim writebacks, prefetch issues and
 admission drops — has a typed event here.  The kernel does not need the
 events to run: it writes its counters and calls the prefetcher's
-feedback hooks at the site of each event.  It builds and dispatches an
-event only when the :class:`EventBus` has a subscriber for its type,
-i.e. when an opt-in observer is attached (the
+feedback hooks at the site of each event.  It dispatches an event (as
+its fields) only when the :class:`EventBus` has a subscriber for its
+type, i.e. when an opt-in observer is attached (the
 :class:`~repro.sim.observers.EventTrace`, the invariant auditor, a
 test).  An unobserved run pays one truth test per event site.
 
@@ -17,11 +17,8 @@ for the event and called the prefetcher, and before the publishing
 timing code proceeds.  Subscribers therefore see the same stream, in the
 same order, as when the counters themselves were bus subscribers.
 
-**Events are transient.**  Hot publishers (the per-level components)
-reuse one event instance per type per component and rewrite its fields
-in place, so a handler that must keep information past its own return
-has to copy the fields out — retaining the event object itself observes
-whatever the *next* publication wrote.
+Subscribers registered with :meth:`EventBus.subscribe` receive a fresh
+event object per delivery, so they may keep it.
 """
 
 from __future__ import annotations
@@ -191,7 +188,15 @@ EVENT_TYPES = (
 
 
 class EventBus:
-    """Minimal synchronous publish/subscribe keyed by event type."""
+    """Minimal synchronous publish/subscribe keyed by event type.
+
+    Publishers deliver an event as its fields, positionally, in the
+    dataclass's field order — the kernel never builds an event object
+    on its own account.  :meth:`subscribe_fields` registers a handler
+    that takes those fields directly (the cheap form the invariant
+    auditor uses); :meth:`subscribe` registers one that receives a
+    fresh event object per delivery.
+    """
 
     __slots__ = ("_subscribers",)
 
@@ -199,19 +204,20 @@ class EventBus:
         self._subscribers: dict[type, list[Callable]] = {}
 
     def handlers(self, event_type: type) -> list[Callable]:
-        """The live handler list for one event type.
+        """The live list of field handlers for one event type.
 
-        Hot publishers hold this list directly, test it for emptiness
-        and dispatch inline (``for h in handlers: h(event)``) only when
-        it has subscribers; later ``subscribe`` / unsubscribe calls
-        mutate the same list in place, so the reference never goes
-        stale.
+        Hot publishers hold this list, test it for emptiness and call
+        ``handler(*fields)`` for each entry only when it has
+        subscribers; later subscribe / unsubscribe calls mutate the
+        same list in place, so the reference never goes stale.
         """
         return self._subscribers.setdefault(event_type, [])
 
-    def subscribe(self, event_type: type, handler: Callable) -> Callable[[], None]:
-        """Register ``handler`` for ``event_type``; returns an unsubscriber."""
-        handlers = self._subscribers.setdefault(event_type, [])
+    def subscribe_fields(self, event_type: type,
+                         handler: Callable) -> Callable[[], None]:
+        """Register ``handler(*fields)`` for ``event_type``; returns an
+        unsubscriber."""
+        handlers = self.handlers(event_type)
         handlers.append(handler)
 
         def unsubscribe() -> None:
@@ -220,12 +226,21 @@ class EventBus:
 
         return unsubscribe
 
+    def subscribe(self, event_type: type, handler: Callable) -> Callable[[], None]:
+        """Register ``handler(event)`` for ``event_type``; returns an
+        unsubscriber."""
+        def deliver(*fields) -> None:
+            handler(event_type(*fields))
+
+        return self.subscribe_fields(event_type, deliver)
+
     def publish(self, event: object) -> None:
         """Deliver ``event`` to every subscriber of its type, in order."""
         handlers = self._subscribers.get(type(event))
         if handlers:
+            fields = [getattr(event, name) for name in event.__match_args__]
             for handler in handlers:
-                handler(event)
+                handler(*fields)
 
     def has_listeners(self, event_type: type) -> bool:
         """True when at least one handler is subscribed to ``event_type``."""

@@ -120,7 +120,6 @@ class FastPath:
         self._rob = core.params.rob_entries
         self._consume_block = (None if prefetcher.hit_run_transparent
                                else prefetcher.hit_run_consume_block)
-        self._ev = HitRunRetired(FillLevel.L1D, 0, None, None, 0.0)
         self._subs = hierarchy.bus.handlers(HitRunRetired)
         # Sorted snapshot of hit-eligible L1 lines (resident, prefetched
         # bit clear), keyed by the storage's residency version counter.
@@ -323,11 +322,5 @@ class FastPath:
         stats = self._l1_stats
         stats.demand_accesses += run
         stats.demand_hits += run
-        if self._subs:
-            ev = self._ev
-            ev.count = run
-            ev.cycles = t[:run]
-            ev.lines = lines
-            ev.cycle = last_cycle
-            for handler in self._subs:
-                handler(ev)
+        for handler in self._subs:
+            handler(FillLevel.L1D, run, t[:run], lines, last_cycle)

@@ -134,8 +134,6 @@ class Hierarchy:
         self.drop_reasons: dict[str, int] = {}
         self._reset_prefetch_accounting()
         self._on_prefetch_fill = prefetcher.on_prefetch_fill
-        self._ev_issued = PrefetchIssued(FillLevel.L1D, 0, 0, 0.0)
-        self._ev_dropped = PrefetchDropped(FillLevel.L1D, 0, "", 0.0)
         self._issued_subs = self.bus.handlers(PrefetchIssued)
         self._dropped_subs = self.bus.handlers(PrefetchDropped)
 
@@ -190,8 +188,9 @@ class Hierarchy:
                 if mirror is not None:
                     mirror.demand_hits += 1
                 if level.access_subs:
-                    level.publish_access(line, True, is_write,
-                                         cycle + latency)
+                    for handler in level.access_subs:
+                        handler(level.level, line, True, is_write,
+                                cycle + latency)
                 if entry.prefetched:
                     entry.prefetched = False
                     level.storage.version += 1
@@ -210,7 +209,9 @@ class Hierarchy:
             if mirror is not None:
                 mirror.demand_misses += 1
             if level.access_subs:
-                level.publish_access(line, False, is_write, cycle + latency)
+                for handler in level.access_subs:
+                    handler(level.level, line, False, is_write,
+                            cycle + latency)
             latency += level.hit_latency
             pending = level.mshr.get(line)
             if pending is not None:
@@ -307,13 +308,8 @@ class Hierarchy:
             self.dropped_prefetches += 1
             self.drop_reasons[reason] += 1
             if self._dropped_subs:
-                ev = self._ev_dropped
-                ev.level = level_id
-                ev.line = line
-                ev.reason = reason
-                ev.cycle = cycle
                 for handler in self._dropped_subs:
-                    handler(ev)
+                    handler(level_id, line, reason, cycle)
             return False
 
         llc = levels[2]
@@ -351,13 +347,8 @@ class Hierarchy:
         self.issued_prefetches[level_id] += 1
         self._on_prefetch_fill(address, level_id)
         if self._issued_subs:
-            ev = self._ev_issued
-            ev.level = level_id
-            ev.line = line
-            ev.address = address
-            ev.cycle = cycle
             for handler in self._issued_subs:
-                handler(ev)
+                handler(level_id, line, address, cycle)
         return True
 
     # ----------------------------------------------------------- SystemView

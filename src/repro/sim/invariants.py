@@ -175,6 +175,7 @@ class InvariantAuditor:
                                        hierarchy.llc, exclusive_llc),
         }
         self._owned = {id(b.actual): b for b in self._blocks.values()}
+        self._shadows = {level: b.shadow for level, b in self._blocks.items()}
 
         self._dirty_obligations: set[int] = set()
         self._issued = {level: 0 for level in FillLevel}
@@ -198,7 +199,9 @@ class InvariantAuditor:
                 (Writeback, self._on_writeback),
                 (PrefetchIssued, self._on_issued),
                 (PrefetchDropped, self._on_dropped)):
-            self._detach.append(bus.subscribe(event_type, handler))
+            # Field handlers: the kernel calls them with the event's
+            # fields directly, no event object built per delivery.
+            self._detach.append(bus.subscribe_fields(event_type, handler))
 
     # ------------------------------------------------------------- plumbing
 
@@ -212,7 +215,8 @@ class InvariantAuditor:
         """Track back-invalidations another core's accesses inflict on
         this core's private caches (shared-LLC multicore runs)."""
         self._detach.append(
-            bus.subscribe(BackInvalidation, self._on_remote_back_invalidation))
+            bus.subscribe_fields(BackInvalidation,
+                                 self._on_remote_back_invalidation))
 
     def _record(self, cycle: float, kind: str, component, line: int,
                 extra: str = "") -> None:
@@ -250,19 +254,22 @@ class InvariantAuditor:
         self._blocks[FillLevel.LLC].shadow.reset()
 
     # ------------------------------------------------------- event shadows
+    #
+    # Each handler takes its event's fields positionally, in the event
+    # dataclass's field order (see repro.sim.events).
 
-    def _on_access(self, ev: CacheAccess) -> None:
-        shadow = self._blocks[ev.level].shadow
+    def _on_access(self, level, line, hit, is_write, cycle) -> None:
+        shadow = self._shadows[level]
         shadow.demand_accesses += 1
-        if ev.hit:
+        if hit:
             shadow.demand_hits += 1
+            self._ring_append((cycle, "CacheAccess", level, line, "hit"))
         else:
             shadow.demand_misses += 1
+            self._ring_append((cycle, "CacheAccess", level, line, "miss"))
         self.audited_events += 1
-        self._ring_append((ev.cycle, "CacheAccess", ev.level, ev.line,
-                           "hit" if ev.hit else "miss"))
 
-    def _on_hit_run(self, ev: HitRunRetired) -> None:
+    def _on_hit_run(self, level, count, cycles, lines, cycle) -> None:
         """Audit checkpoint at a fast-path block exit.
 
         A retired hit run is ``count`` demand hits the event kernel never
@@ -272,129 +279,130 @@ class InvariantAuditor:
         a broken block-exit reconciliation is caught before the next
         access executes.
         """
-        shadow = self._blocks[ev.level].shadow
-        shadow.demand_accesses += ev.count
-        shadow.demand_hits += ev.count
-        self._record(ev.cycle, "HitRunRetired", ev.level, int(ev.lines[-1]),
-                     f"count={ev.count}")
-        self._last_access_cycle = ev.cycle
+        shadow = self._shadows[level]
+        shadow.demand_accesses += count
+        shadow.demand_hits += count
+        self._record(cycle, "HitRunRetired", level, int(lines[-1]),
+                     f"count={count}")
+        self._last_access_cycle = cycle
         before = self._accesses
-        self._accesses = before + ev.count
+        self._accesses = before + count
         if self._dirty_obligations:
             self._fail("dirty-conservation",
                        f"{len(self._dirty_obligations)} dirty victim(s) "
                        "outstanding at a fast-path block exit — a hit run "
                        "can never surrender a dirty line",
-                       cycle=ev.cycle,
+                       cycle=cycle,
                        line=next(iter(self._dirty_obligations)))
         # Deep (cache-sized) scans keep their access-count cadence; the
         # structural pass runs at every block exit regardless.
         deep = (self._accesses // self._every != before // self._every
                 and (self._accesses // self._every) % self._deep_every == 0)
-        self.audit_now(ev.cycle, deep=deep)
+        self.audit_now(cycle, deep=deep)
 
-    def _on_fill(self, ev: PrefetchFill) -> None:
-        block = self._blocks[ev.level]
+    def _on_fill(self, level, line, cycle) -> None:
+        block = self._blocks[level]
         block.shadow.prefetch_fills += 1
         block.census += 1
         self.audited_events += 1
-        self._ring_append((ev.cycle, "PrefetchFill", ev.level, ev.line, ""))
+        self._ring_append((cycle, "PrefetchFill", level, line, ""))
 
-    def _on_useful(self, ev: PrefetchUseful) -> None:
-        block = self._blocks[ev.level]
+    def _on_useful(self, level, line, address, late, cycle) -> None:
+        block = self._blocks[level]
         block.shadow.useful_prefetches += 1
-        if ev.late:
+        if late:
             block.shadow.late_prefetch_hits += 1
         else:
             # A resident useful consumes one installed prefetched bit;
             # a late merge resolves a prefetch that never filled as one.
             block.census -= 1
         self.audited_events += 1
-        self._ring_append((ev.cycle, "PrefetchUseful", ev.level, ev.line,
-                           "late" if ev.late else ""))
+        self._ring_append((cycle, "PrefetchUseful", level, line,
+                           "late" if late else ""))
 
-    def _on_useless(self, ev: PrefetchUseless) -> None:
-        if ev.reason == "flushed" and ev.cycle < self._last_access_cycle:
+    def _on_useless(self, level, line, reason, cycle) -> None:
+        if reason == "flushed" and cycle < self._last_access_cycle:
             self._fail(
                 "flush-cycle",
-                f"end-of-run flush stamped cycle {ev.cycle:.1f}, before the "
+                f"end-of-run flush stamped cycle {cycle:.1f}, before the "
                 f"last demand access at {self._last_access_cycle:.1f}",
-                cycle=ev.cycle, level=ev.level, line=ev.line)
-        block = self._blocks[ev.level]
+                cycle=cycle, level=level, line=line)
+        block = self._blocks[level]
         block.shadow.useless_prefetches += 1
         block.census -= 1
         self.audited_events += 1
-        self._ring_append((ev.cycle, "PrefetchUseless", ev.level, ev.line,
-                           ev.reason))
+        self._ring_append((cycle, "PrefetchUseless", level, line, reason))
 
-    def _on_eviction(self, ev: Eviction) -> None:
-        self._blocks[ev.level].shadow.evictions += 1
-        if ev.dirty:
-            self._dirty_obligations.add(ev.line)
+    def _on_eviction(self, level, line, prefetched, dirty, cycle) -> None:
+        self._shadows[level].evictions += 1
+        if dirty:
+            self._dirty_obligations.add(line)
+            self._ring_append((cycle, "Eviction", level, line, "dirty"))
+        else:
+            self._ring_append((cycle, "Eviction", level, line, ""))
         self.audited_events += 1
-        self._ring_append((ev.cycle, "Eviction", ev.level, ev.line,
-                           "dirty" if ev.dirty else ""))
 
-    def _apply_back_invalidation(self, ev: BackInvalidation) -> None:
-        block = self._owned.get(id(ev.stats))
-        if block is not None and ev.prefetched:
+    def _apply_back_invalidation(self, prefetched: bool, stats) -> None:
+        block = self._owned.get(id(stats))
+        if block is not None and prefetched:
             block.shadow.useless_prefetches += 1
             block.census -= 1
 
-    def _on_back_invalidation(self, ev: BackInvalidation) -> None:
-        self._apply_back_invalidation(ev)
-        if ev.dirty:
+    def _on_back_invalidation(self, cache_name, line, prefetched, dirty,
+                              cycle, stats) -> None:
+        self._apply_back_invalidation(prefetched, stats)
+        if dirty:
             # The dirty private data must reach DRAM (or a level that
             # still holds the line) before control returns to the core.
-            self._dirty_obligations.add(ev.line)
-        self._record(ev.cycle, "BackInvalidation", ev.cache_name, ev.line,
-                     "dirty" if ev.dirty else "")
+            self._dirty_obligations.add(line)
+        self._record(cycle, "BackInvalidation", cache_name, line,
+                     "dirty" if dirty else "")
 
-    def _on_remote_back_invalidation(self, ev: BackInvalidation) -> None:
+    def _on_remote_back_invalidation(self, cache_name, line, prefetched,
+                                     dirty, cycle, stats) -> None:
         # Shadow/census only: the publishing core's auditor owns the
         # ring-buffer record and the dirty obligation (it sees the
         # writeback that discharges it on its own bus).
-        self._apply_back_invalidation(ev)
+        self._apply_back_invalidation(prefetched, stats)
 
-    def _on_writeback(self, ev: Writeback) -> None:
-        if ev.line in self._dirty_obligations:
-            self._dirty_obligations.discard(ev.line)
+    def _on_writeback(self, level, line, absorbed, cycle) -> None:
+        if line in self._dirty_obligations:
+            self._dirty_obligations.discard(line)
         else:
             self._fail("dirty-conservation",
                        "writeback published for a line no dirty eviction "
                        "or back-invalidation surrendered",
-                       cycle=ev.cycle, level=ev.level, line=ev.line)
-        depth = ev.level - FillLevel.L1D
+                       cycle=cycle, level=level, line=line)
+        depth = level - FillLevel.L1D
         lower = self.hierarchy.levels[depth + 1:]
-        if ev.absorbed:
-            holder = next((lvl.storage.probe(ev.line) for lvl in lower
-                           if lvl.storage.contains(ev.line)), None)
+        if absorbed:
+            holder = next((lvl.storage.probe(line) for lvl in lower
+                           if lvl.storage.contains(line)), None)
             if holder is None or not holder.dirty:
                 self._fail("dirty-conservation",
                            "writeback claims absorption but no lower level "
                            "holds the line dirty",
-                           cycle=ev.cycle, level=ev.level, line=ev.line)
+                           cycle=cycle, level=level, line=line)
         else:
             for lvl in lower:
-                if lvl.storage.contains(ev.line):
+                if lvl.storage.contains(line):
                     self._fail(
                         "inclusion",
                         f"writeback to DRAM bypassed the copy still "
                         f"resident in {lvl.name} (now clean and stale)",
-                        cycle=ev.cycle, level=ev.level, line=ev.line)
-        self._record(ev.cycle, "Writeback", ev.level, ev.line,
-                     "absorbed" if ev.absorbed else "to-dram")
+                        cycle=cycle, level=level, line=line)
+        self._record(cycle, "Writeback", level, line,
+                     "absorbed" if absorbed else "to-dram")
 
-    def _on_issued(self, ev: PrefetchIssued) -> None:
-        self._issued[ev.level] += 1
+    def _on_issued(self, level, line, address, cycle) -> None:
+        self._issued[level] += 1
         self.audited_events += 1
-        self._ring_append((ev.cycle, "PrefetchIssued", ev.level, ev.line, ""))
+        self._ring_append((cycle, "PrefetchIssued", level, line, ""))
 
-    def _on_dropped(self, ev: PrefetchDropped) -> None:
+    def _on_dropped(self, level, line, reason, cycle) -> None:
         self._dropped += 1
-        self._drop_reasons[ev.reason] = self._drop_reasons.get(ev.reason, 0) + 1
-        self._record(ev.cycle, "PrefetchDropped", ev.level, ev.line,
-                     ev.reason)
+        self._drop_reasons[reason] = self._drop_reasons.get(reason, 0) + 1
+        self._record(cycle, "PrefetchDropped", level, line, reason)
 
     # --------------------------------------------------------- checkpoints
 
@@ -488,15 +496,14 @@ class InvariantAuditor:
                            "never be pruned",
                            cycle=cycle, level=level.level)
         fills = storage.fills
-        indexed = sum(len(bucket) for bucket in fills._by_line.values())
-        live = sum(1 for entry in fills._heap if not entry[2].canceled)
-        if indexed != live:
-            self._fail("fill-queue",
-                       f"{storage.name} fill heap holds {live} live "
-                       f"entries but the per-line index holds {indexed}",
-                       cycle=cycle, level=level.level)
         heap_ids = {id(entry[2]) for entry in fills._heap
                     if not entry[2].canceled}
+        indexed = sum(map(len, fills._by_line.values()))
+        if indexed != len(heap_ids):
+            self._fail("fill-queue",
+                       f"{storage.name} fill heap holds {len(heap_ids)} live "
+                       f"entries but the per-line index holds {indexed}",
+                       cycle=cycle, level=level.level)
         for line, bucket in fills._by_line.items():
             for fill in bucket:
                 if fill.line != line:
@@ -585,17 +592,18 @@ class InvariantAuditor:
     def _audit_census_and_capacity(self, cycle: float) -> None:
         for block in self._blocks.values():
             storage = block.storage
-            resident_prefetched = 0
-            for cache_set in storage._sets:
-                if len(cache_set) > storage.ways:
-                    self._fail("set-capacity",
-                               f"{storage.name} set holds {len(cache_set)} "
-                               f"lines, associativity {storage.ways}",
-                               cycle=cycle, level=block.level)
-                for entry in cache_set.values():
-                    if entry.prefetched:
-                        resident_prefetched += 1
-            if block.check_census and resident_prefetched != block.census:
+            sets = storage._sets
+            if max(map(len, sets)) > storage.ways:
+                worst = max(sets, key=len)
+                self._fail("set-capacity",
+                           f"{storage.name} set holds {len(worst)} "
+                           f"lines, associativity {storage.ways}",
+                           cycle=cycle, level=block.level)
+            if not block.check_census:
+                continue
+            resident_prefetched = sum([entry.prefetched for cache_set in sets
+                                       for entry in cache_set.values()])
+            if resident_prefetched != block.census:
                 self._fail(
                     "prefetch-census",
                     f"{storage.name} holds {resident_prefetched} prefetched "
@@ -606,17 +614,18 @@ class InvariantAuditor:
     def _audit_inclusion(self, cycle: float) -> None:
         hierarchy = self.hierarchy
         llc = hierarchy.llc
+        llc_sets, num_sets = llc._sets, llc.num_sets
+        in_flight, mshr = llc.fills._by_line, llc._mshr
         for storage, level in ((hierarchy.l1d, FillLevel.L1D),
                                (hierarchy.l2c, FillLevel.L2C)):
-            for cache_set in storage._sets:
-                for line in cache_set:
-                    if (llc.contains(line)
-                            or line in llc.fills._by_line
-                            or line in llc._mshr):
-                        continue
-                    self._fail(
-                        "inclusion",
-                        f"{storage.name} holds line {line:#x} that is "
-                        "neither resident in nor in flight to the "
-                        "inclusive LLC",
-                        cycle=cycle, level=level, line=line)
+            uncovered = [line for cache_set in storage._sets
+                         for line in cache_set
+                         if line not in llc_sets[line % num_sets]
+                         and line not in in_flight and line not in mshr]
+            if uncovered:
+                self._fail(
+                    "inclusion",
+                    f"{storage.name} holds line {uncovered[0]:#x} that is "
+                    "neither resident in nor in flight to the "
+                    "inclusive LLC",
+                    cycle=cycle, level=level, line=uncovered[0])

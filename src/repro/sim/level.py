@@ -15,10 +15,10 @@ per-level fields directly.
 Every event is counted where it happens.  A level writes its own
 :class:`~repro.sim.cache.CacheStats` block (and, at the LLC, the owning
 core's ``mirror`` block) and calls the prefetcher's feedback hooks
-itself.  Typed events (:mod:`repro.sim.events`) are built and dispatched
-only when the bus has a subscriber for the type — the opt-in
-:class:`~repro.sim.observers.EventTrace` or the invariant auditor — so
-an unobserved run pays one truth test per event site.
+itself.  Typed events (:mod:`repro.sim.events`) are dispatched, as
+their fields, only when the bus has a subscriber for the type — the
+opt-in :class:`~repro.sim.observers.EventTrace` or the invariant
+auditor — so an unobserved run pays one truth test per event site.
 """
 
 from __future__ import annotations
@@ -48,23 +48,19 @@ INF = float("inf")
 
 
 class CacheLevel:
-    """One cache level: storage, counters, feedback hooks and event pool.
+    """One cache level: storage, counters and feedback hooks.
 
     The storage's hot structures (``sets``, ``mshr``, ``fills``) are
     exposed on the component itself — the storage never reassigns them —
-    so the descent reads them without a second attribute hop.  Events
-    go out through *pooled* instances (one per type, ``level`` pre-set,
-    fields rewritten per publication; see :mod:`repro.sim.events`) over
-    the bus's live handler lists, and only when a list is non-empty.
+    so the descent reads them without a second attribute hop.  The
+    ``*_subs`` attributes are the bus's live handler lists, one per
+    event type, called with the event's fields when non-empty.
     """
 
     __slots__ = ("level", "storage", "bus", "dram", "below", "shared",
                  "stats", "mirror", "sets", "num_sets", "ways", "mshr",
                  "fills", "hit_latency", "on_evict", "on_useful",
-                 "on_useless",
-                 "ev_access", "ev_useful", "ev_fill", "ev_evict",
-                 "ev_useless", "ev_wb",
-                 "access_subs", "useful_subs", "fill_subs", "evict_subs",
+                 "on_useless", "access_subs", "useful_subs", "fill_subs", "evict_subs",
                  "useless_subs", "wb_subs", "binv_subs")
 
     def __init__(self, level: FillLevel, storage: Cache, bus: EventBus,
@@ -97,12 +93,6 @@ class CacheLevel:
         self.on_evict = prefetcher.on_evict if level == FillLevel.L1D else None
         self.on_useful = prefetcher.on_prefetch_useful
         self.on_useless = prefetcher.on_prefetch_useless
-        self.ev_access = CacheAccess(level, 0, False, False, 0.0)
-        self.ev_useful = PrefetchUseful(level, 0, 0, False, 0.0)
-        self.ev_fill = PrefetchFill(level, 0, 0.0)
-        self.ev_evict = Eviction(level, 0, False, False, 0.0)
-        self.ev_useless = PrefetchUseless(level, 0, "", 0.0)
-        self.ev_wb = Writeback(level, 0, False, 0.0)
         self.access_subs = bus.handlers(CacheAccess)
         self.useful_subs = bus.handlers(PrefetchUseful)
         self.fill_subs = bus.handlers(PrefetchFill)
@@ -117,17 +107,6 @@ class CacheLevel:
         return self.storage.name
 
     # ----------------------------------------------------------- demand side
-
-    def publish_access(self, line: int, hit: bool, is_write: bool,
-                       cycle: float) -> None:
-        """Deliver one :class:`CacheAccess` to the subscribers."""
-        ev = self.ev_access
-        ev.line = line
-        ev.hit = hit
-        ev.is_write = is_write
-        ev.cycle = cycle
-        for handler in self.access_subs:
-            handler(ev)
 
     def prefetch_useful(self, line: int, address: int, late: bool,
                         cycle: float) -> None:
@@ -144,13 +123,8 @@ class CacheLevel:
                 mirror.late_prefetch_hits += 1
         self.on_useful(address, self.level)
         if self.useful_subs:
-            ev = self.ev_useful
-            ev.line = line
-            ev.address = address
-            ev.late = late
-            ev.cycle = cycle
             for handler in self.useful_subs:
-                handler(ev)
+                handler(self.level, line, address, late, cycle)
 
     # ------------------------------------------------------------- fill side
 
@@ -229,11 +203,8 @@ class CacheLevel:
             if mirror is not None:
                 mirror.prefetch_fills += 1
             if self.fill_subs:
-                ev = self.ev_fill
-                ev.line = line
-                ev.cycle = cycle
                 for handler in self.fill_subs:
-                    handler(ev)
+                    handler(self.level, line, cycle)
         if victim is None:
             return
 
@@ -243,13 +214,9 @@ class CacheLevel:
         if self.on_evict is not None:
             self.on_evict(victim << CACHELINE_BITS)
         if self.evict_subs:
-            ev = self.ev_evict
-            ev.line = victim
-            ev.prefetched = victim_entry.prefetched
-            ev.dirty = victim_entry.dirty
-            ev.cycle = cycle
             for handler in self.evict_subs:
-                handler(ev)
+                handler(self.level, victim, victim_entry.prefetched,
+                        victim_entry.dirty, cycle)
         dirty_private = False
         if self.shared is not None:
             for cache, entry in self.shared.back_invalidate(victim):
@@ -259,11 +226,9 @@ class CacheLevel:
                     # The invalidated cache may be another core's.
                     cache.stats.useless_prefetches += 1
                 if self.binv_subs:
-                    binv = BackInvalidation(cache.name, victim,
-                                            entry.prefetched, entry.dirty,
-                                            cycle, cache.stats)
                     for handler in self.binv_subs:
-                        handler(binv)
+                        handler(cache.name, victim, entry.prefetched,
+                                entry.dirty, cycle, cache.stats)
         if victim_entry.prefetched:
             self.prefetch_useless(victim, "evicted", cycle)
         # A dirty back-invalidated private copy holds data newer than the
@@ -282,12 +247,8 @@ class CacheLevel:
         if reason != "flushed":
             self.on_useless(line << CACHELINE_BITS, self.level)
         if self.useless_subs:
-            ev = self.ev_useless
-            ev.line = line
-            ev.reason = reason
-            ev.cycle = cycle
             for handler in self.useless_subs:
-                handler(ev)
+                handler(self.level, line, reason, cycle)
 
     def _drain_dirty(self, victim: int, cycle: float) -> None:
         """Dirty victims drain towards memory through the ``below`` chain.
@@ -311,12 +272,8 @@ class CacheLevel:
         if not absorbed:
             self.dram.writeback(victim, cycle)
         if self.wb_subs:
-            ev = self.ev_wb
-            ev.line = victim
-            ev.absorbed = absorbed
-            ev.cycle = cycle
             for handler in self.wb_subs:
-                handler(ev)
+                handler(self.level, victim, absorbed, cycle)
 
     def flush_prefetch_accounting(self, cycle: float = 0.0) -> None:
         """End-of-run: resident never-used prefetched lines are useless.

@@ -1,10 +1,12 @@
 """Cache storage: LRU, deferred fills, the indexed fill queue, MSHRs, PQs.
 
-Storage is pure mechanics — accounting is applied by bus observers and is
-covered in ``test_event_kernel.py``; here we check what the storage
-*reports* (hits, consumed prefetch bits, victims) and its queue state.
+Storage is mechanics — the kernel counts at the event site, covered in
+``test_event_kernel.py`` and the reference lockstep tests; here we check
+what the storage *reports* (hits, consumed prefetch bits, victims) and
+its queue state.
 """
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.cache import Cache, PendingFill
@@ -167,6 +169,33 @@ class TestMSHR:
         cache.mshr_allocate(1, 30.0)
         cache.mshr_allocate(2, 20.0)
         assert cache.mshr_earliest() == 20.0
+
+    def test_earliest_skips_released_entries(self):
+        cache = small_cache()
+        cache.mshr_allocate(1, 30.0)
+        cache.mshr_allocate(2, 20.0)
+        cache.mshr_release(2)
+        assert cache.mshr_earliest() == 30.0
+
+    def test_earliest_on_empty_mshr_fails_loudly(self):
+        cache = Cache(CacheParams(size_bytes=256, ways=2, hit_latency=1,
+                                  mshr_entries=4, pq_entries=4), name="L1D7")
+        with pytest.raises(RuntimeError,
+                           match=r"L1D7: .* 0/4 entries, heap empty"):
+            cache.mshr_earliest()
+
+    def test_earliest_with_lost_heap_entry_fails_loudly(self):
+        # A live entry whose heap entry vanished is a kernel bug: no
+        # silent fallback to scanning the dict.
+        cache = small_cache()
+        cache.mshr_allocate(1, 30.0)
+        cache.mshr_allocate(2, 20.0)
+        cache.mshr_release(2)
+        cache._mshr_heap.remove((30.0, 1))
+        with pytest.raises(RuntimeError,
+                           match=r"1/4 entries, heap empty after dropping "
+                                 r"1 stale entries"):
+            cache.mshr_earliest()
 
 
 class TestPQ:

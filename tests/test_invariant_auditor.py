@@ -16,7 +16,6 @@ from repro.memtrace.trace import Trace
 from repro.prefetchers.base import NoPrefetcher
 from repro.sim.cache import CacheLine
 from repro.sim.engine import simulate
-from repro.sim.events import BackInvalidation
 from repro.sim.hierarchy import Hierarchy, SharedLLC
 from repro.sim.invariants import (
     ENV_FLAG,
@@ -86,12 +85,8 @@ def _apply_fill_dropping_dirty_private(self, line, cycle, prefetched=False,
         self.stats.prefetch_fills += 1
         if self.mirror is not None:
             self.mirror.prefetch_fills += 1
-        if self.fill_subs:
-            ev = self.ev_fill
-            ev.line = line
-            ev.cycle = cycle
-            for handler in self.fill_subs:
-                handler(ev)
+        for handler in self.fill_subs:
+            handler(self.level, line, cycle)
     if victim is None:
         return
     self.stats.evictions += 1
@@ -99,22 +94,16 @@ def _apply_fill_dropping_dirty_private(self, line, cycle, prefetched=False,
         self.mirror.evictions += 1
     if self.on_evict is not None:
         self.on_evict(victim << 6)
-    if self.evict_subs:
-        ev = self.ev_evict
-        ev.line = victim
-        ev.prefetched = victim_entry.prefetched
-        ev.dirty = victim_entry.dirty
-        ev.cycle = cycle
-        for handler in self.evict_subs:
-            handler(ev)
+    for handler in self.evict_subs:
+        handler(self.level, victim, victim_entry.prefetched,
+                victim_entry.dirty, cycle)
     if self.shared is not None:
         for cache, entry in self.shared.back_invalidate(victim):
             if entry.prefetched:
                 cache.stats.useless_prefetches += 1
-            binv = BackInvalidation(cache.name, victim, entry.prefetched,
-                                    entry.dirty, cycle, cache.stats)
             for handler in self.binv_subs:
-                handler(binv)
+                handler(cache.name, victim, entry.prefetched, entry.dirty,
+                        cycle, cache.stats)
     if victim_entry.prefetched:
         self.prefetch_useless(victim, "evicted", cycle)
     if victim_entry.dirty:
@@ -161,13 +150,8 @@ def _drain_dirty_immediate_below_only(self, victim, cycle):
             absorbed = True
     if not absorbed:
         self.dram.writeback(victim, cycle)
-    if self.wb_subs:
-        ev = self.ev_wb
-        ev.line = victim
-        ev.absorbed = absorbed
-        ev.cycle = cycle
-        for handler in self.wb_subs:
-            handler(ev)
+    for handler in self.wb_subs:
+        handler(self.level, victim, absorbed, cycle)
 
 
 class TestShallowDirtyDrain:
