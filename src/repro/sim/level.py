@@ -57,7 +57,7 @@ class CacheLevel:
     event type, called with the event's fields when non-empty.
     """
 
-    __slots__ = ("level", "storage", "bus", "dram", "below", "shared",
+    __slots__ = ("level", "storage", "dram", "below", "shared",
                  "stats", "mirror", "sets", "num_sets", "ways", "mshr",
                  "fills", "hit_latency", "on_evict", "on_useful",
                  "on_useless", "access_subs", "useful_subs", "fill_subs", "evict_subs",
@@ -70,7 +70,6 @@ class CacheLevel:
                  prefetcher: Prefetcher | None = None) -> None:
         self.level = level
         self.storage = storage
-        self.bus = bus
         self.dram = dram
         self.below = below
         self.shared = shared
