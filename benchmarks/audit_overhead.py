@@ -12,7 +12,7 @@ The measurement is built to hold still on a shared machine:
 * CPU time (``time.process_time``), not wall time, so time spent
   descheduled does not count against either side;
 * each pair runs whole simulations, audited and unaudited alternating
-  call by call, until each side has used at least ``--min-seconds`` of
+  call by call, until each side has used at least ``MIN_SECONDS`` of
   CPU, so a slow phase of the host hits both sides alike;
 * a pair's ratio is the median over its back-to-back calls of the
   audited/unaudited CPU-time ratio, and the verdict is the median of
@@ -33,6 +33,9 @@ import argparse
 import statistics
 import sys
 import time
+
+#: CPU seconds each side of a pair runs for, at least.
+MIN_SECONDS = 0.3
 
 
 def paired_ratios(base, test, pairs: int, min_seconds: float) -> list[float]:
@@ -98,13 +101,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="golden-trace length (matches the fixture)")
     parser.add_argument("--runs", type=int, default=7,
                         help="interleaved audited/unaudited pairs")
-    parser.add_argument("--min-seconds", type=float, default=0.3,
-                        help="CPU seconds each side of a pair runs for")
     parser.add_argument("--self-compare", action="store_true",
                         help="time unaudited code against itself")
     args = parser.parse_args(argv)
 
-    overhead, ratios = measure(args.accesses, args.runs, args.min_seconds,
+    overhead, ratios = measure(args.accesses, args.runs, MIN_SECONDS,
                                self_compare=args.self_compare)
     what = "self-compare" if args.self_compare else "audited"
     print(f"{what}: median overhead {overhead:+.1%} over {len(ratios)} "

@@ -11,12 +11,14 @@ these tests require:
   counters: per level, ``CacheAccess`` events equal ``demand_accesses``,
   ``PrefetchFill`` equals ``prefetch_fills`` and ``Eviction`` equals
   ``evictions``; ``PrefetchIssued`` per level equals the issued count and
-  ``PrefetchDropped`` per reason equals the drop count.
+  ``PrefetchDropped`` per reason equals the drop count;
+* for three engines, the full event log itself, pinned by digest.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -108,6 +110,25 @@ def test_registry_run_exercises_the_prefetch_events(trace):
     for kind in ("PrefetchIssued", "PrefetchDropped", "PrefetchFill",
                  "Eviction"):
         assert sum(result.event_counters[kind].values()) > 0, kind
+
+
+#: Length and digest of the full ``EventTrace`` log (every event, in
+#: order, with its cycle) on the 1500-access trace, pinned when the
+#: counters were still bus subscribers: subscribers must keep seeing the
+#: same stream in the same order.
+PINNED_LOGS = {"pmp": (9890, "e4a794bc85f573db"),
+               "spp+ppf": (11122, "88581d625272cf00"),
+               "hybrid": (9883, "4cb640f3a7e0a2b1")}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOGS))
+def test_event_stream_and_order_are_pinned(name, trace):
+    state: dict = {}
+    engine.simulate(trace, COMPETITORS[name](), trace_events=True,
+                    warmup_fraction=0.0, state_out=state)
+    log = state["tracer"].log
+    digest = hashlib.sha256(repr(log).encode()).hexdigest()[:16]
+    assert (len(log), digest) == PINNED_LOGS[name]
 
 
 class TracedHierarchy(Hierarchy):
