@@ -184,7 +184,6 @@ class InvariantAuditor:
         self._last_access_cycle = 0.0
         self._accesses = 0
         self.structural_audits = 0
-        self.audited_events = 0
 
         self._detach: list = []
         bus = hierarchy.bus
@@ -221,9 +220,8 @@ class InvariantAuditor:
     def _record(self, cycle: float, kind: str, component, line: int,
                 extra: str = "") -> None:
         # Hot per-event handlers (_on_access, _on_fill, ...) inline this
-        # two-line body against the bound ``_ring_append`` — keep them in
-        # sync if the record shape changes.
-        self.audited_events += 1
+        # body against the bound ``_ring_append`` — keep them in sync if
+        # the record shape changes.
         self._ring.append((cycle, kind, component, line, extra))
 
     def _fail(self, law: str, message: str, *, cycle: float = 0.0,
@@ -267,7 +265,6 @@ class InvariantAuditor:
         else:
             shadow.demand_misses += 1
             self._ring_append((cycle, "CacheAccess", level, line, "miss"))
-        self.audited_events += 1
 
     def _on_hit_run(self, level, count, cycles, lines, cycle) -> None:
         """Audit checkpoint at a fast-path block exit.
@@ -304,7 +301,6 @@ class InvariantAuditor:
         block = self._blocks[level]
         block.shadow.prefetch_fills += 1
         block.census += 1
-        self.audited_events += 1
         self._ring_append((cycle, "PrefetchFill", level, line, ""))
 
     def _on_useful(self, level, line, address, late, cycle) -> None:
@@ -316,7 +312,6 @@ class InvariantAuditor:
             # A resident useful consumes one installed prefetched bit;
             # a late merge resolves a prefetch that never filled as one.
             block.census -= 1
-        self.audited_events += 1
         self._ring_append((cycle, "PrefetchUseful", level, line,
                            "late" if late else ""))
 
@@ -330,7 +325,6 @@ class InvariantAuditor:
         block = self._blocks[level]
         block.shadow.useless_prefetches += 1
         block.census -= 1
-        self.audited_events += 1
         self._ring_append((cycle, "PrefetchUseless", level, line, reason))
 
     def _on_eviction(self, level, line, prefetched, dirty, cycle) -> None:
@@ -340,7 +334,6 @@ class InvariantAuditor:
             self._ring_append((cycle, "Eviction", level, line, "dirty"))
         else:
             self._ring_append((cycle, "Eviction", level, line, ""))
-        self.audited_events += 1
 
     def _apply_back_invalidation(self, prefetched: bool, stats) -> None:
         block = self._owned.get(id(stats))
@@ -396,7 +389,6 @@ class InvariantAuditor:
 
     def _on_issued(self, level, line, address, cycle) -> None:
         self._issued[level] += 1
-        self.audited_events += 1
         self._ring_append((cycle, "PrefetchIssued", level, line, ""))
 
     def _on_dropped(self, level, line, reason, cycle) -> None:
@@ -601,8 +593,9 @@ class InvariantAuditor:
                            cycle=cycle, level=block.level)
             if not block.check_census:
                 continue
-            resident_prefetched = sum([entry.prefetched for cache_set in sets
-                                       for entry in cache_set.values()])
+            resident_prefetched = len([1 for cache_set in sets
+                                       for entry in cache_set.values()
+                                       if entry.prefetched])
             if resident_prefetched != block.census:
                 self._fail(
                     "prefetch-census",
