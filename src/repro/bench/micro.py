@@ -5,11 +5,12 @@ the kernel descent (demand lookup, prefetch admission, fill scheduling
 and sync), cache lookup/fill (the per-level storage), fill-queue churn (deferred fills), PMP counter-vector training
 and pattern extraction/prediction (the prefetcher's hot loops), the zoo
 engines' per-miss train/predict paths plus the hybrid's set-dueling
-arbitration, and trace decode (the array → ``MemoryAccess`` path every
-worker pays per job).  Inputs are pinned — fixed seeds, fixed stream
-lengths — so two
-runs of the same code measure the same work and a ``--compare`` delta
-means the *code* changed speed, not the workload.
+arbitration, trace decode (the array → ``MemoryAccess`` path every
+worker pays per job) and job cache keys (what the experiment engine
+computes per job before it dispatches anything).  Inputs are pinned —
+fixed seeds, fixed stream lengths — so two runs of the same code measure
+the same work and a ``--compare`` delta means the *code* changed speed,
+not the workload.
 
 Scales: ``smoke`` (CI-sized, seconds), ``default``, ``large``.
 """
@@ -21,9 +22,11 @@ from typing import Callable
 
 import numpy as np
 
+from ..experiments.engine import SimJob
 from ..memtrace.access import MemoryAccess
 from ..memtrace.trace import Trace
 from ..memtrace.workloads import full_suite
+from ..prefetchers import COMPETITORS
 from ..prefetchers.base import (
     FillLevel,
     NoPrefetcher,
@@ -33,7 +36,7 @@ from ..prefetchers.base import (
 from ..prefetchers.gaze import Gaze
 from ..prefetchers.hybrid import SetDuelingArbiter
 from ..prefetchers.pangloss import Pangloss
-from ..prefetchers.pmp import PMP, extract_afe
+from ..prefetchers.pmp import PMP, extract_afe, make_pmp_limit
 from ..prefetchers.sms import PatternCaptureFramework
 from ..prefetchers.triangel import Triangel
 from ..sim.cache import Cache, FillQueue, PendingFill
@@ -340,6 +343,25 @@ def _build_trace_decode(ops: int):
     return None, fn, float(ops), {"accesses_per_call": ops}
 
 
+def _build_job_key(ops: int):
+    """``SimJob.key()`` for the 11 Fig 8 jobs (every registry engine,
+    pmp-limit and the baseline) of the pinned trace, fingerprint memo
+    warm: the per-job cost the engine pays again on every rerun."""
+    trace = _pinned_trace(ops)
+    config = SystemConfig.default()
+    factories = [*COMPETITORS.values(), make_pmp_limit, NoPrefetcher]
+    jobs = [SimJob(trace, factory(), config) for factory in factories]
+    for job in jobs:
+        job.key()  # warm the trace hash and the fingerprint memo
+
+    def fn() -> None:
+        for job in jobs:
+            job.key()
+
+    return None, fn, float(len(jobs)), {"jobs_per_call": len(jobs),
+                                        "source_accesses": ops}
+
+
 MICRO_BENCHMARKS: tuple[MicroBench, ...] = (
     MicroBench("kernel_descent", "accesses/s", _build_kernel_descent),
     MicroBench("cache_lookup_fill", "accesses/s", _build_cache_lookup_fill),
@@ -353,6 +375,7 @@ MICRO_BENCHMARKS: tuple[MicroBench, ...] = (
     MicroBench("triangel_filter", "accesses/s", _build_triangel_filter),
     MicroBench("hybrid_duel", "duels/s", _build_hybrid_duel),
     MicroBench("trace_decode", "accesses/s", _build_trace_decode),
+    MicroBench("job_key", "keys/s", _build_job_key),
 )
 
 

@@ -9,6 +9,25 @@ content hash over everything that determines its output:
 * the full :class:`~repro.sim.params.SystemConfig`,
 * the warmup fraction and a cache-format version salt.
 
+The key format is :func:`canonical`: a deterministic JSON view of the
+object graph, hashed by :func:`fingerprint`.  It refuses what it cannot
+name stably: a function, an object with no state, or a graph nested past
+``_MAX_DEPTH`` raises ``TypeError`` rather than hashing a ``repr`` that
+may carry a memory address (such a key would never hit across
+processes).
+
+**Fingerprint memo**: walking a prefetcher's state costs milliseconds
+per key (Pythia's 4096×15 Q-table about 0.2 s), and an experiment
+matrix builds the same few configurations once per trace.  So
+:func:`prefetcher_fingerprint` memoises its result in the process,
+keyed by a SHA-256 of the pickled state.  This is exact: equal pickle
+bytes mean equal object graphs, hence the same canonical form; equal
+states that pickle differently (say, dicts filled in another order) only
+miss and recompute the same key.  Pickle bytes are not stable across
+Python versions or hash seeds, so they key only the in-process memo,
+never the cache.  A state that cannot be pickled bypasses the memo and
+is fingerprinted directly.
+
 Results are stored one JSON file per key under ``<dir>/results/``, in the
 :meth:`SimResult.to_dict` form, so a warm-cache rerun of any experiment
 matrix replays the exact numbers without a single new simulation.  The
@@ -27,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import pickle
 from dataclasses import fields as dataclass_fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -46,16 +66,27 @@ log = logging.getLogger("repro.experiments.cache")
 
 _MAX_DEPTH = 16
 
+#: In-process fingerprint memo: SHA-256 of the pickled prefetcher state
+#: -> its fingerprint.  Each value is a pure function of its key, so
+#: sharing one memo across callers cannot change a result.  Emptied when
+#: it reaches ``_MEMO_MAX`` entries.
+_FINGERPRINT_MEMO: dict[bytes, str] = {}
+_MEMO_MAX = 4096
+
 
 def canonical(obj, depth: int = 0):
     """A deterministic, JSON-serialisable view of (nearly) any object.
 
     Used to fingerprint prefetcher state and system configs.  Enum check
     precedes int (FillLevel is an IntEnum); floats go through ``repr`` so
-    distinct values never collide via formatting.
+    distinct values never collide via formatting.  Raises ``TypeError``
+    for an object it cannot name stably: one nested deeper than
+    ``_MAX_DEPTH``, or one with no attribute state (a function, a bare
+    ``object()``), whose ``repr`` would carry its address.
     """
     if depth > _MAX_DEPTH:
-        return repr(obj)
+        raise TypeError(f"cannot fingerprint {type(obj).__qualname__}: "
+                        f"nested deeper than {_MAX_DEPTH} levels")
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, Enum):
@@ -90,7 +121,8 @@ def canonical(obj, depth: int = 0):
     state = _instance_state(obj)
     if state is not None:
         return [type(obj).__qualname__, canonical(state, depth + 1)]
-    return [type(obj).__qualname__, repr(obj)]
+    raise TypeError(f"cannot fingerprint {type(obj).__qualname__}: "
+                    "it has no attribute state to hash")
 
 
 def _sort_key(item) -> str:
@@ -123,11 +155,29 @@ def prefetcher_fingerprint(prefetcher: Prefetcher) -> str:
     hashing the initial state distinguishes configurations (a
     ``PMP(PMPConfig(region_bytes=2048))`` hashes differently from the
     default) without requiring each class to declare its knobs.
+
+    The result is memoised per process under a SHA-256 of the pickled
+    ``[module, qualname, name, state]``; the value is always
+    ``fingerprint()`` of those parts, so a memo hit returns the exact
+    key a fresh walk would.  Sound because equal pickles mean equal
+    states (no class in the repo customises its pickling to drop
+    state); an equal state that pickles differently only misses.  A
+    state that cannot be pickled skips the memo.
     """
-    return fingerprint([type(prefetcher).__module__,
-                        type(prefetcher).__qualname__,
-                        prefetcher.name,
-                        _instance_state(prefetcher) or {}])
+    parts = [type(prefetcher).__module__, type(prefetcher).__qualname__,
+             prefetcher.name, _instance_state(prefetcher) or {}]
+    try:
+        blob = pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return fingerprint(parts)
+    memo_key = hashlib.sha256(blob).digest()
+    key = _FINGERPRINT_MEMO.get(memo_key)
+    if key is None:
+        key = fingerprint(parts)
+        if len(_FINGERPRINT_MEMO) >= _MEMO_MAX:
+            _FINGERPRINT_MEMO.clear()
+        _FINGERPRINT_MEMO[memo_key] = key
+    return key
 
 
 def result_checksum(result_dict: dict) -> str:

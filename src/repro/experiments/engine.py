@@ -151,6 +151,9 @@ class EngineCounters:
     audited: int = 0
     batches: int = 0
     wall_seconds: float = 0.0
+    #: Time ``run_jobs`` spent computing ``SimJob.key()`` (part of
+    #: ``wall_seconds``; the workers idle while it runs).
+    key_seconds: float = 0.0
     # ---- fault-tolerance accounting ----
     #: Jobs that ended as structured JobFailure records.
     failed: int = 0
@@ -191,6 +194,7 @@ class EngineCounters:
             "audited": self.audited,
             "batches": self.batches,
             "wall_seconds": self.wall_seconds,
+            "key_seconds": self.key_seconds,
             "failed": self.failed,
             "retried": self.retried,
             "timed_out": self.timed_out,
@@ -260,7 +264,11 @@ class ExperimentEngine:
         need_key = (self.cache is not None or self.journal is not None
                     or self.fabric is not None or chaos_enabled())
         for index, job in enumerate(jobs):
-            key = job.key() if need_key else None
+            key = None
+            if need_key:
+                key_start = time.perf_counter()
+                key = job.key()
+                self.counters.key_seconds += time.perf_counter() - key_start
             if self.journal is not None and key is not None:
                 replayed = self.journal.lookup(key)
                 if replayed is not None:

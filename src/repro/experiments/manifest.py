@@ -2,10 +2,10 @@
 
 A manifest captures what was run (experiment name, trace names, config
 fingerprint), where (git SHA), how (worker count, cache directory), and
-what it cost (wall time, simulate() calls, cache hit/miss counts).  The
-CI smoke job and the warm-cache acceptance test both assert on these
-records, and they make "why was this rerun slow/fast?" answerable after
-the fact.
+what it cost (wall time and the part of it spent on cache keys,
+simulate() calls, cache hit/miss counts).  The CI smoke job and the
+warm-cache acceptance test both assert on these records, and they make
+"why was this rerun slow/fast?" answerable after the fact.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ class RunManifest:
     cache_misses: int = 0
     simulated: int = 0
     wall_seconds: float = 0.0
+    #: Part of ``wall_seconds`` spent computing job cache keys.
+    key_seconds: float = 0.0
     cache_dir: str | None = None
     # ---- fault tolerance (see repro.experiments.faults) ----
     #: Journal id of this run; pass to ``--resume`` after an interrupt.

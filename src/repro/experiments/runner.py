@@ -282,6 +282,7 @@ class SuiteRunner:
             cache_misses=counters.cache_misses,
             simulated=counters.simulated,
             wall_seconds=counters.wall_seconds,
+            key_seconds=counters.key_seconds,
             cache_dir=cache_dir,
             run_id=run_id,
             failed=counters.failed,

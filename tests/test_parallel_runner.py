@@ -164,6 +164,8 @@ class TestManifest:
         assert loaded.traces == [spec.name for spec in SPECS]
         assert loaded.config_fingerprint == runner.config.fingerprint()
         assert loaded.wall_seconds > 0
+        assert 0 < loaded.key_seconds <= loaded.wall_seconds
+        assert loaded.key_seconds == runner.engine.counters.key_seconds
         assert loaded.git_sha  # "unknown" outside git, a SHA inside
 
 
@@ -174,6 +176,18 @@ class TestEngineDirect:
                 for trace in traces]
         results = ExperimentEngine(workers=3).run_jobs(jobs)
         assert [r.trace_name for r in results] == [t.name for t in traces]
+
+    def test_key_seconds_counts_only_computed_keys(self, tmp_path):
+        trace = SPECS[0].build(1_000)
+        jobs = [SimJob(trace, NoPrefetcher(), SystemConfig.default())]
+        uncached = ExperimentEngine()
+        uncached.run_jobs(jobs)  # no cache, journal or fabric: no keys
+        assert uncached.counters.key_seconds == 0.0
+        cached = ExperimentEngine(cache=ResultCache(tmp_path))
+        cached.run_jobs(jobs)
+        counters = cached.counters
+        assert 0 < counters.key_seconds <= counters.wall_seconds
+        assert counters.to_dict()["key_seconds"] == counters.key_seconds
 
     def test_nipc_grid_matches_per_config_runs(self):
         runner = SuiteRunner(specs=SPECS, accesses=ACCESSES)
