@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..memtrace.trace import Trace
+from ..sim.session import warmup_boundary
 from .cluster import Clustering, cluster_windows
 from .config import SamplingConfig
 from .signature import window_signatures
@@ -101,7 +102,7 @@ def build_plan(trace: Trace, warmup_fraction: float,
     cost more than it saves.
     """
     total = len(trace)
-    warmup_end = int(total * warmup_fraction)
+    warmup_end = warmup_boundary(total, warmup_fraction)
     measured = total - warmup_end
     if measured <= 0:
         return _fallback(trace, warmup_end, "no measured region")

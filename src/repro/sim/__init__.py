@@ -8,6 +8,7 @@ from .hierarchy import Hierarchy, SharedLLC
 from .invariants import InvariantAuditor, InvariantViolation, audit_requested
 from .multicore import multicore_speedup, simulate_multicore
 from .params import CacheParams, CoreParams, DramParams, SystemConfig
+from .session import Session
 from .stats import LevelStats, SimResult, geomean
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "InvariantAuditor",
     "InvariantViolation",
     "LevelStats",
+    "Session",
     "SharedLLC",
     "SimResult",
     "SystemConfig",

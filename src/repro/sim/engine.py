@@ -2,10 +2,10 @@
 
 Mirrors the paper's methodology at reduced scale: the first
 ``warmup_fraction`` of the trace warms caches and prefetcher state with
-stats discarded, the remainder is measured.  On every L1D load the engine
-(1) serves the demand through the hierarchy, (2) hands the access to the
-prefetcher, and (3) issues whatever prefetches the prefetcher returned,
-subject to PQ/MSHR admission in the hierarchy.
+stats discarded, the remainder is measured.  The run is one
+:class:`~repro.sim.session.Session`: the warmup segment, both
+measurement boundaries, the measured segment, then the end-of-run
+drain.
 """
 
 from __future__ import annotations
@@ -14,13 +14,9 @@ from typing import Callable
 
 from ..memtrace.trace import Trace
 from ..prefetchers.base import NoPrefetcher, Prefetcher
-from .core import Core
-from .fastpath import MIN_RUN, FastPath
-from .hierarchy import Hierarchy
-from .invariants import InvariantAuditor, audit_requested
-from .observers import EventTrace
 from .params import SystemConfig
-from .stats import SimResult, snapshot_level
+from .session import Session
+from .stats import SimResult
 
 PrefetcherFactory = Callable[[], Prefetcher]
 
@@ -31,9 +27,11 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
              trace_events: bool = False,
              check_invariants: bool | None = None,
              fastpath: bool = True,
-             sampling=None,
-             state_out: dict | None = None) -> SimResult:
+             sampling=None) -> SimResult:
     """Run one trace through one prefetcher; returns the measured stats.
+
+    ``warmup_fraction`` must lie in ``[0, 1)``; anything else raises
+    ``ValueError``.
 
     ``trace_events=True`` attaches the opt-in :class:`EventTrace`
     observer to the hierarchy's bus; its per-component counter snapshot
@@ -65,15 +63,8 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
     the plan and error bars attached as ``SimResult.sampling``.  Off
     (``None`` or ``enabled=False``) by default — then this function's
     behaviour is bit-identical to the pre-sampling engine.
-
-    ``state_out``, when given a dict, receives post-run internals for
-    tests: the ``hierarchy`` and ``core`` objects plus
-    ``fastpath_blocks`` / ``fastpath_accesses`` coverage counters.
     """
     if sampling is not None and sampling.enabled:
-        if state_out is not None:
-            raise ValueError("state_out is not supported for sampled runs "
-                             "(there is no single post-run hierarchy)")
         from ..sampling.engine import simulate_sampled  # avoid import cycle
 
         return simulate_sampled(trace, prefetcher, config, warmup_fraction,
@@ -84,104 +75,22 @@ def simulate(trace: Trace, prefetcher: Prefetcher | None = None,
         prefetcher = NoPrefetcher()
     if config is None:
         config = SystemConfig.default()
+    return measure(Session.build(trace, prefetcher, config, warmup_fraction,
+                                 trace_events=trace_events,
+                                 check_invariants=check_invariants,
+                                 fastpath=fastpath))
 
-    hierarchy = Hierarchy.build(config, prefetcher)
-    tracer = EventTrace(hierarchy.bus) if trace_events else None
-    auditor = (InvariantAuditor(hierarchy)
-               if audit_requested(check_invariants) else None)
-    core = Core(config.core)
-    accesses = trace.accesses
-    total = len(accesses)
-    warmup_end = int(total * warmup_fraction)
-    measured_start_instr = 0
-    measured_start_cycle = 0.0
 
-    scanner = (FastPath(trace, hierarchy, core, prefetcher)
-               if fastpath and prefetcher.supports_hit_runs
-               and total >= MIN_RUN else None)
-
-    # Bound methods hoisted out of the per-access loop: the loop body is
-    # the whole-simulation hot path and each lookup otherwise costs an
-    # attribute resolution per access.
-    advance = core.advance
-    begin_load = core.begin_load
-    finish_load = core.finish_load
-    set_view_cycle = hierarchy.set_view_cycle
-    demand_access = hierarchy.demand_access
-    issue_prefetch = hierarchy.issue_prefetch
-    on_access = prefetcher.on_access
-    try_run = scanner.try_run if scanner is not None else None
-
-    index = 0
-    while index < total:
-        if index == warmup_end:
-            hierarchy.reset_stats()
-            if tracer is not None:
-                tracer.reset()
-            if auditor is not None:
-                auditor.on_reset()
-            measured_start_instr = core.instructions
-            measured_start_cycle = core.cycle
-
-        if try_run is not None:
-            # A block must never span the warmup/measurement boundary:
-            # the stats it reconciles in one step have to land entirely
-            # on one side of the reset above.
-            retired = try_run(index,
-                              warmup_end if index < warmup_end else total)
-            if retired:
-                index += retired
-                continue
-
-        access = accesses[index]
-        index += 1
-        if access.gap:
-            advance(access.gap)
-        issue_cycle = begin_load()
-        set_view_cycle(issue_cycle)
-        latency, l1_hit = demand_access(access.address, issue_cycle,
-                                        access.is_write)
-        finish_load(latency)
-
-        requests = on_access(access.pc, access.address,
-                             issue_cycle, l1_hit, hierarchy)
-        for request in requests:
-            issue_prefetch(request, issue_cycle)
-        if auditor is not None:
-            auditor.checkpoint(issue_cycle)
-
-    core.drain()
-    final_cycle = core.cycle
-    hierarchy.flush_accounting(final_cycle)
-    if auditor is not None:
-        auditor.finalize(final_cycle)
-
-    if state_out is not None:
-        state_out["hierarchy"] = hierarchy
-        state_out["core"] = core
-        state_out["tracer"] = tracer
-        state_out["fastpath_blocks"] = (scanner.blocks_retired
-                                        if scanner is not None else 0)
-        state_out["fastpath_accesses"] = (scanner.accesses_fastpathed
-                                          if scanner is not None else 0)
-
-    return SimResult(
-        trace_name=trace.name,
-        prefetcher_name=prefetcher.name,
-        instructions=core.instructions - measured_start_instr,
-        cycles=core.cycle - measured_start_cycle,
-        levels={
-            "l1d": snapshot_level(hierarchy.l1d.stats),
-            "l2c": snapshot_level(hierarchy.l2c.stats),
-            "llc": snapshot_level(hierarchy.llc.stats),
-        },
-        dram_demand_requests=hierarchy.dram.stats.demand_requests,
-        dram_prefetch_requests=hierarchy.dram.stats.prefetch_requests,
-        dram_writeback_requests=hierarchy.dram.stats.writeback_requests,
-        issued_prefetches=dict(hierarchy.issued_prefetches),
-        dropped_prefetches=hierarchy.dropped_prefetches,
-        event_counters=tracer.counter_snapshot() if tracer is not None else None,
-    )
+def measure(session: Session) -> SimResult:
+    """A full single-core run of ``session``: warm up, open both
+    measurement boundaries, measure the rest of the trace, finish."""
+    warmup_end = session.warmup_end
+    session.run(0, warmup_end)
+    session.open_measurement()
+    session.reset_shared()
+    session.run(warmup_end, len(session.trace))
+    session.finish()
+    return session.result(session.trace.name)
 
 
 def compare(trace: Trace, prefetcher_factories: dict[str, PrefetcherFactory],

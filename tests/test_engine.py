@@ -1,11 +1,13 @@
 """Single-core engine: warmup, stats, prefetcher wiring, compare()."""
 
 import numpy as np
+import pytest
 
 from repro.memtrace import synthetic as syn
 from repro.memtrace.access import MemoryAccess
 from repro.memtrace.trace import Trace
 from repro.prefetchers import PMP, NextLine
+from repro.sampling.config import SamplingConfig
 from repro.sim.engine import compare, simulate
 from repro.sim.params import SystemConfig
 
@@ -29,6 +31,20 @@ class TestSimulate:
         full = simulate(trace, warmup_fraction=0.0)
         warm = simulate(trace, warmup_fraction=0.5)
         assert warm.levels["l1d"].demand_accesses < full.levels["l1d"].demand_accesses
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.5, float("nan")])
+    @pytest.mark.parametrize("sampling", [None, SamplingConfig()])
+    def test_out_of_range_warmup_is_rejected(self, fraction, sampling):
+        # Outside [0, 1) the warmup boundary is never reached (or is
+        # reached before the trace starts): the run used to measure the
+        # whole trace without a word.
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            simulate(stream_trace(2000), warmup_fraction=fraction,
+                     sampling=sampling)
+
+    def test_warmup_just_below_one_measures_the_tail(self):
+        result = simulate(stream_trace(2000), warmup_fraction=0.999)
+        assert result.levels["l1d"].demand_accesses == 2
 
     def test_deterministic(self):
         trace = stream_trace(2000)

@@ -22,7 +22,9 @@ from repro.memtrace.trace import Trace
 from repro.prefetchers.base import NoPrefetcher
 from repro.prefetchers.pmp import PMP
 from repro.prefetchers.spp import SPP
-from repro.sim.engine import simulate
+from repro.sim.engine import measure
+from repro.sim.params import SystemConfig
+from repro.sim.session import Session
 
 from tests.test_differential import kernel_contents
 from tests.test_invariants import random_traces, small_config
@@ -47,33 +49,39 @@ def hot_loop_trace(accesses: int = 12_000, lines: int = 256,
     return trace
 
 
+def run_session(trace, prefetcher, *, config=None,
+                warmup_fraction: float = 0.2, **options):
+    """What ``simulate()`` runs, returning the session alongside the
+    result so tests can inspect the post-run internals."""
+    session = Session.build(trace, prefetcher,
+                            config or SystemConfig.default(),
+                            warmup_fraction, **options)
+    return measure(session), session
+
+
 def run_both(trace, prefetcher_factory, *, config=None,
              warmup_fraction: float = 0.2, trace_events: bool = False):
     """One trace through both modes; assert bit-identity everywhere.
 
-    Returns the fastpath-on ``state_out`` so callers can additionally
-    assert coverage (that blocks actually retired).
+    Returns the fastpath-on session so callers can additionally assert
+    coverage (that blocks actually retired).
     """
-    state_on: dict = {}
-    state_off: dict = {}
-    result_on = simulate(trace, prefetcher_factory(), config,
-                         warmup_fraction=warmup_fraction,
-                         trace_events=trace_events, state_out=state_on)
-    result_off = simulate(trace, prefetcher_factory(), config,
-                          warmup_fraction=warmup_fraction,
-                          trace_events=trace_events, fastpath=False,
-                          state_out=state_off)
+    result_on, on = run_session(trace, prefetcher_factory(), config=config,
+                                warmup_fraction=warmup_fraction,
+                                trace_events=trace_events)
+    result_off, off = run_session(trace, prefetcher_factory(), config=config,
+                                  warmup_fraction=warmup_fraction,
+                                  trace_events=trace_events, fastpath=False)
 
     assert result_on.to_dict() == result_off.to_dict()
-    assert state_off["fastpath_blocks"] == 0  # escape hatch really off
+    assert off.scanner is None  # escape hatch really off
 
-    core_on, core_off = state_on["core"], state_off["core"]
-    assert core_on.instructions == core_off.instructions
-    assert core_on.cycle == core_off.cycle
+    assert on.core.instructions == off.core.instructions
+    assert on.core.cycle == off.core.cycle
 
     for name in LEVEL_NAMES:
-        storage_on = getattr(state_on["hierarchy"], name)
-        storage_off = getattr(state_off["hierarchy"], name)
+        storage_on = getattr(on.hierarchy, name)
+        storage_off = getattr(off.hierarchy, name)
         assert kernel_contents(storage_on) == kernel_contents(storage_off), (
             f"{name} final census diverged")
         # Residency order is observable (it is the LRU order), so the
@@ -83,11 +91,11 @@ def run_both(trace, prefetcher_factory, *, config=None,
             f"{name} LRU order diverged")
 
     if trace_events:
-        tracer_on, tracer_off = state_on["tracer"], state_off["tracer"]
+        tracer_on, tracer_off = on.tracer, off.tracer
         assert tracer_on.counter_snapshot() == tracer_off.counter_snapshot()
         assert tracer_on.log == tracer_off.log
         assert tracer_on.dropped_log_rows == tracer_off.dropped_log_rows
-    return state_on
+    return on
 
 
 PREFETCHERS = st.sampled_from([NoPrefetcher, PMP, SPP])
@@ -139,20 +147,19 @@ class TestCoverage:
 
     def test_hot_loop_mostly_fastpathed(self):
         trace = hot_loop_trace()
-        state = run_both(trace, NoPrefetcher)
-        assert state["fastpath_blocks"] > 0
-        assert state["fastpath_accesses"] > len(trace) * 0.8
+        scanner = run_both(trace, NoPrefetcher).scanner
+        assert scanner.blocks_retired > 0
+        assert scanner.accesses_fastpathed > len(trace) * 0.8
 
     def test_hot_loop_with_pmp_mostly_fastpathed(self):
         trace = hot_loop_trace()
-        state = run_both(trace, PMP)
-        assert state["fastpath_accesses"] > len(trace) * 0.8
+        scanner = run_both(trace, PMP).scanner
+        assert scanner.accesses_fastpathed > len(trace) * 0.8
 
     def test_event_trace_snapshot_with_truncation(self):
         # A max_events bound small enough that hit runs cross it:
         # the batched log expansion must truncate exactly like the
         # per-access recorder.
-        from repro.sim.engine import simulate as sim
         from repro.sim import observers
 
         trace = hot_loop_trace(accesses=4_000)
@@ -165,11 +172,11 @@ class TestCoverage:
 
             observers.EventTrace.__init__ = tight_init
             try:
-                state: dict = {}
-                result = sim(trace, NoPrefetcher(), trace_events=True,
-                             fastpath=fastpath, state_out=state)
-                logs.append((result.to_dict(), state["tracer"].log,
-                             state["tracer"].dropped_log_rows))
+                result, session = run_session(trace, NoPrefetcher(),
+                                              trace_events=True,
+                                              fastpath=fastpath)
+                logs.append((result.to_dict(), session.tracer.log,
+                             session.tracer.dropped_log_rows))
             finally:
                 observers.EventTrace.__init__ = orig_init
         assert logs[0] == logs[1]
@@ -178,6 +185,5 @@ class TestCoverage:
         class Opaque(NoPrefetcher):
             supports_hit_runs = False
 
-        state: dict = {}
-        simulate(hot_loop_trace(accesses=1_000), Opaque(), state_out=state)
-        assert state["fastpath_blocks"] == 0
+        _, session = run_session(hot_loop_trace(accesses=1_000), Opaque())
+        assert session.scanner is None

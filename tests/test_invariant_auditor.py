@@ -15,7 +15,7 @@ from repro.memtrace.access import MemoryAccess
 from repro.memtrace.trace import Trace
 from repro.prefetchers.base import NoPrefetcher
 from repro.sim.cache import CacheLine
-from repro.sim.engine import simulate
+from repro.sim.engine import measure, simulate
 from repro.sim.hierarchy import Hierarchy, SharedLLC
 from repro.sim.invariants import (
     ENV_FLAG,
@@ -24,6 +24,7 @@ from repro.sim.invariants import (
     audit_requested,
 )
 from repro.sim.level import CacheLevel
+from repro.sim.session import Session
 
 from tests.test_invariants import small_config
 
@@ -346,10 +347,11 @@ class TestFastPathUnderAudit:
                                       is_write=bool(rng.random() < 0.2),
                                       gap=int(rng.integers(0, 8))))
         config = small_config()
-        state: dict = {}
-        audited = simulate(trace, config=config, check_invariants=True,
-                           state_out=state)
-        assert state["fastpath_accesses"] > 0  # the audit saw real blocks
+        session = Session.build(trace, NoPrefetcher(), config, 0.2,
+                                check_invariants=True)
+        audited = measure(session)
+        # The audit saw real blocks.
+        assert session.scanner.accesses_fastpathed > 0
         plain = simulate(trace, config=config, check_invariants=False)
         slow = simulate(trace, config=config, check_invariants=True,
                         fastpath=False)

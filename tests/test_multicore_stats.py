@@ -9,24 +9,13 @@ lane's attribution view (LLC mirror, DRAM port), so the per-core results
 sum to the shared totals over the common measurement window.
 """
 
-import heapq
-
 import numpy as np
 import pytest
 
 from repro.memtrace.access import MemoryAccess
 from repro.memtrace.trace import Trace
 from repro.prefetchers.base import NoPrefetcher
-from repro.sim.cache import Cache
-from repro.sim.dram import Dram
-from repro.sim.hierarchy import SharedLLC
-from repro.sim.invariants import InvariantAuditor
-from repro.sim.multicore import (
-    _CoreLane,
-    _open_measurement,
-    _warmup_ends,
-    simulate_multicore,
-)
+from repro.sim.multicore import _interleave, _lanes, simulate_multicore
 
 from tests.test_invariants import small_config
 
@@ -46,41 +35,14 @@ def make_traces(count, length=700, lines=4096, write_fraction=0.3, seed=17):
 
 
 def run_keeping_shared(traces, warmup_fraction=0.2, audit=True):
-    """``simulate_multicore``'s loop, keeping the shared LLC/DRAM handles
-    so tests can compare attributed views against the hardware totals."""
-    config = small_config().for_multicore(len(traces))
-    shared = SharedLLC(Cache(config.llc, name="LLC"))
-    dram = Dram(config.dram)
-    ends = _warmup_ends(traces, warmup_fraction)
-    lanes = [_CoreLane(i, trace, NoPrefetcher(), config, shared, dram,
-                       warmup_end=ends[i])
-             for i, trace in enumerate(traces)]
-    if audit:
-        for lane in lanes:
-            lane.auditor = InvariantAuditor(lane.hierarchy)
-        for lane in lanes:
-            for other in lanes:
-                if other is not lane:
-                    lane.auditor.watch_remote_bus(other.hierarchy.bus)
-
-    pending_warmup = {lane.core_id for lane in lanes if not lane.done}
-    if not pending_warmup:
-        _open_measurement(lanes, shared, dram)
-    heap = [(lane.core.cycle, lane.core_id) for lane in lanes]
-    heapq.heapify(heap)
-    while heap:
-        _, core_id = heapq.heappop(heap)
-        lane = lanes[core_id]
-        if lane.done:
-            continue
-        crossed = lane.step()
-        if core_id in pending_warmup and (crossed or lane.done):
-            pending_warmup.discard(core_id)
-            if not pending_warmup:
-                _open_measurement(lanes, shared, dram)
-        if not lane.done:
-            heapq.heappush(heap, (lane.core.cycle, core_id))
-    return [lane.result() for lane in lanes], shared, dram
+    """``simulate_multicore``'s lanes and scheduler, keeping the shared
+    LLC/DRAM handles so tests can compare attributed views against the
+    hardware totals."""
+    sessions = _lanes(traces, NoPrefetcher,
+                      small_config().for_multicore(len(traces)),
+                      warmup_fraction, audit)
+    hierarchy = sessions[0].hierarchy
+    return _interleave(sessions), hierarchy.shared_llc, hierarchy.dram
 
 
 class TestAttributionSumsToSharedTotals:
@@ -121,6 +83,12 @@ class TestWarmupFractions:
     def test_mismatched_fraction_list_raises(self):
         with pytest.raises(ValueError):
             simulate_multicore(make_traces(3), warmup_fraction=[0.2, 0.5])
+
+    @pytest.mark.parametrize("fraction", [1.0, [0.2, 1.5], [-0.5, 0.2]])
+    def test_out_of_range_fraction_raises(self, fraction):
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            simulate_multicore(make_traces(2, length=100),
+                               warmup_fraction=fraction)
 
     def test_zero_warmup_measures_whole_trace(self):
         traces = make_traces(2, length=300)

@@ -217,10 +217,6 @@ class TestSampledSimulate:
         del data["sampling"]
         assert data == exact.to_dict()
 
-    def test_state_out_is_incompatible_with_sampling(self, trace):
-        with pytest.raises(ValueError, match="state_out"):
-            simulate(trace, make_pmp(), sampling=SMALL, state_out={})
-
     def test_simulate_sampled_defaults_mirror_simulate(self, trace):
         via_engine = simulate(trace, make_pmp(), sampling=SMALL)
         direct = simulate_sampled(trace, make_pmp(), sampling=SMALL)

@@ -25,10 +25,11 @@ import pytest
 from repro.memtrace.workloads import quick_suite
 from repro.prefetchers import COMPETITORS
 from repro.prefetchers.pmp import PMP
-from repro.sim import engine, multicore
+from repro.sim import engine, multicore, session
 from repro.sim.events import PrefetchDropped
 from repro.sim.hierarchy import Hierarchy
 from repro.sim.observers import EventTrace
+from repro.sim.params import SystemConfig
 
 from tests.test_invariants import small_config
 
@@ -85,18 +86,18 @@ def trace():
 @pytest.mark.parametrize("name", sorted(COMPETITORS))
 def test_subscribers_only_observe(name, trace, monkeypatch):
     factory = COMPETITORS[name]
-    monkeypatch.setattr(engine, "EventTrace", ReasonTrace)
+    monkeypatch.setattr(session, "EventTrace", ReasonTrace)
     runs = {}
     for trace_events in (False, True):
         for audit in (False, True):
-            state: dict = {}
-            runs[trace_events, audit] = result = engine.simulate(
-                trace, factory(), trace_events=trace_events,
-                check_invariants=audit, state_out=state)
+            run = session.Session.build(trace, factory(),
+                                        SystemConfig.default(), 0.2,
+                                        trace_events=trace_events,
+                                        check_invariants=audit)
+            runs[trace_events, audit] = result = engine.measure(run)
             if trace_events:
                 assert_stream_accounts_for(result.event_counters,
-                                           state["tracer"].reasons,
-                                           state["hierarchy"])
+                                           run.tracer.reasons, run.hierarchy)
     reference = counters(runs[False, False])
     for key, result in runs.items():
         assert counters(result) == reference, key
@@ -123,10 +124,11 @@ PINNED_LOGS = {"pmp": (9890, "e4a794bc85f573db"),
 
 @pytest.mark.parametrize("name", sorted(PINNED_LOGS))
 def test_event_stream_and_order_are_pinned(name, trace):
-    state: dict = {}
-    engine.simulate(trace, COMPETITORS[name](), trace_events=True,
-                    warmup_fraction=0.0, state_out=state)
-    log = state["tracer"].log
+    run = session.Session.build(trace, COMPETITORS[name](),
+                                SystemConfig.default(), 0.0,
+                                trace_events=True)
+    engine.measure(run)
+    log = run.tracer.log
     digest = hashlib.sha256(repr(log).encode()).hexdigest()[:16]
     assert (len(log), digest) == PINNED_LOGS[name]
 
